@@ -187,7 +187,9 @@ type Campaign struct {
 // depend on it, and it is all zeros for the rerun engine (which has no
 // waypoints, forks nothing, and saves nothing) and for merged results
 // (which execute nothing). Quarantined injections drop their step's
-// deltas, so stats may undercount after a quarantine.
+// deltas, so stats may undercount after a quarantine. The golden
+// recording's own forks and pages are charged to the first unit executed
+// on a plan, so the units of one PlannedCampaign sum to one recording.
 type EngineStats struct {
 	Engine    string // "fork", "rerun" or "merge"
 	Waypoints int    // waypoints recorded during the golden run

@@ -5,7 +5,7 @@ package inject_test
 // app, every supervision mode, and any worker count. This is the
 // acceptance test for that contract — it compares the full Result
 // (counts, liveness splits, signal histograms, crash latencies, metrics)
-// and the rendered report tables across the 4-way engine x workers grid.
+// and the rendered report tables across the 5-way engine x workers grid.
 
 import (
 	"bytes"
@@ -51,6 +51,7 @@ func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 				}
 				grid := []cfg{
 					{inject.EngineFork, 1},
+					{inject.EngineFork, 3}, // a lane count that does not divide N
 					{inject.EngineFork, 8},
 					{inject.EngineRerun, 1},
 					{inject.EngineRerun, 8},

@@ -12,7 +12,6 @@ import (
 	"github.com/letgo-hpc/letgo/internal/debug"
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/outcome"
-	"github.com/letgo-hpc/letgo/internal/pin"
 	"github.com/letgo-hpc/letgo/internal/resilience"
 	"github.com/letgo-hpc/letgo/internal/vm"
 )
@@ -79,12 +78,7 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 	}
 
 	estats := EngineStats{Engine: c.Engine.String()}
-	if c.Engine == EngineRerun {
-		err = c.runRerun(ctx, p, unit.Indices, workers, results, completed)
-	} else {
-		err = c.runFork(ctx, p, unit.Indices, workers, results, completed, &estats)
-	}
-	if err != nil {
+	if err := c.runLanes(ctx, p, unit.Indices, workers, results, completed, &estats); err != nil {
 		return nil, err
 	}
 	spInject.End()
@@ -224,95 +218,49 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []injR
 	return resumed, nil
 }
 
-// runRerun executes the unit's injections on the rerun engine: each
-// worker takes a strided slice of the owned indices and every injection
-// re-executes the whole prefix from PC 0 inside executeHub.
-func (c *Campaign) runRerun(ctx context.Context, p *PlannedCampaign, idx []int, workers int, results []injResult, completed []bool) error {
-	errs := make([]error, workers)
-	// failed lets the first erroring worker stop the others early instead
-	// of letting them burn through their remaining injections.
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer c.Obs.StartSpan("worker_chunk", "worker", workerLabel(w), "engine", "rerun").End()
-			for k := w; k < len(idx); k += workers {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := idx[k]
-				if completed[i] {
-					continue // restored from the journal
-				}
-				r, quar, stack, err := supervise(c.Watchdog, func() (injResult, error) {
-					if c.beforeInjection != nil {
-						c.beforeInjection(i)
-					}
-					return c.one(p, p.Plans[i])
-				})
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				if quar != "" {
-					r = c.quarantine(i, quar, stack)
-				}
-				results[i] = r
-				completed[i] = true
-				c.finish(i, w, r, quar, stack)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// laneStep carries one injection's outputs out of the supervised body:
+// the classified result and, on the fork engine, the (possibly re-forked)
+// replay machine handed back to the lane plus the engine work the step
+// contributed. The rerun engine leaves everything but r zero.
+type laneStep struct {
+	r    injResult
+	cur  *vm.Machine
+	dbg  *debug.Debugger
+	work EngineStats
 }
 
-// forkStep carries one fork-engine injection's outputs out of the
-// supervised body: the classified result, the (possibly re-forked)
-// replay machine handed back to the worker, and the engine-stat deltas
-// the step contributed.
-type forkStep struct {
-	r        injResult
-	cur      *vm.Machine
-	dbg      *debug.Debugger
-	forks    uint64
-	pages    uint64
-	replayed uint64
-	saved    uint64
+// add accumulates d's work counts into s.
+func (s *EngineStats) add(d EngineStats) {
+	s.Forks += d.Forks
+	s.PagesCopied += d.PagesCopied
+	s.InstrsReplayed += d.InstrsReplayed
+	s.InstrsSaved += d.InstrsSaved
 }
 
 // forkOne positions a replay machine at the injection's dynamic index
 // (re-forking from a waypoint when one leapfrogs the machine), runs the
 // injection on a COW fork of it, and classifies the outcome.
-func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.Machine, curDbg *debug.Debugger) (forkStep, error) {
-	var out forkStep
+func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.Machine, curDbg *debug.Debugger) (laneStep, error) {
+	var out laneStep
 	gold := p.gold
 	// Re-fork only when a waypoint is strictly ahead of the replay
 	// machine; otherwise stepping forward is cheaper.
 	if cur == nil || gold.NearestRetired(when) > cur.Retired {
 		if cur != nil {
-			out.pages += cur.Mem.CopiedPages()
+			out.work.PagesCopied += cur.Mem.CopiedPages()
 		}
 		cur, _ = gold.ForkAt(when)
 		curDbg = debug.New(cur)
-		out.forks++
+		out.work.Forks++
 	}
 	replayFrom := cur.Retired
 	if stop := curDbg.RunToDynamic(when); stop != nil {
 		return out, fmt.Errorf("inject: clean replay to dynamic %d stopped: %v", when, stop.Reason)
 	}
-	out.replayed += when - replayFrom
-	out.saved += replayFrom
+	out.work.InstrsReplayed += when - replayFrom
+	out.work.InstrsSaved += replayFrom
 	runM := cur.Fork()
-	out.forks++
+	out.work.Forks++
 	spExec := c.Obs.StartSpan("execute", "engine", "fork")
 	ro, err := executeAt(gold.Prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs, runM)
 	spExec.End()
@@ -323,101 +271,108 @@ func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.M
 	if err != nil {
 		return out, err
 	}
-	out.pages += pages
+	out.work.PagesCopied += pages
 	out.r = r
 	out.cur, out.dbg = cur, curDbg
 	return out, nil
 }
 
-// runFork executes the unit's injections on the fork-replay engine.
+// runLanes executes the unit's injections, on either engine, in one lane
+// loop. The engine fixes an order over the unit's plan indices — plan
+// index for rerun; for fork, dynamic index in the golden run, from sites
+// resolved once per plan (PlannedCampaign.resolved) — and lane w takes
+// positions w, w+W, w+2W, ... of it. The engines differ only in the
+// per-injection body: rerun's `one` re-executes the whole prefix from
+// PC 0 on a fresh machine; fork's forkOne advances the lane's clean
+// replay machine to the site and injects on a COW fork of it, so the
+// clean prefix is never contaminated.
 //
-// The owned plan sites are first resolved to absolute retired-instruction
-// counts in one shared golden replay (ResolveWhens), then sorted by that
-// temporal position and split into contiguous chunks, one per worker.
-// Each worker keeps a single clean replay machine that only ever moves
-// forward: it advances to the next injection's position with RunToDynamic
-// and is re-forked from a waypoint only when a later waypoint leapfrogs
-// it. The injected run itself executes on a COW fork of the positioned
-// replay machine, so the clean prefix is never contaminated and is
-// executed at most once per worker per K-sized gap.
-func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, workers int, results []injResult, completed []bool, estats *EngineStats) error {
-	gold := p.gold
-	sites := make([]pin.Site, len(idx))
-	for k, i := range idx {
-		sites[k] = p.Plans[i].Site
-	}
-	whens, err := gold.ResolveWhens(sites)
-	if err != nil {
-		return err
-	}
-	// order holds positions into idx/whens, sorted by temporal position
-	// (ties by plan index — idx is ascending, so position order works).
-	order := make([]int, len(idx))
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if whens[order[a]] != whens[order[b]] {
-			return whens[order[a]] < whens[order[b]]
+// The stride is what keeps fork lanes equally busy: an injection at
+// fraction x of the golden run costs about (1-x) golden run-outs, so
+// contiguous slices of the sorted order would hand the earliest lane
+// several times the latest lane's work, while a stride samples the whole
+// timeline in every lane. A lane's dynamic indices still only increase,
+// so its replay machine only ever moves forward (RunToDynamic to the next
+// site, re-forked from a waypoint only when one leapfrogs it) and replays
+// at most one golden run per lane. Lane assignment is a pure function of
+// (plan, unit, W), so every engine count repeats exactly across runs.
+func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, workers int, results []injResult, completed []bool, estats *EngineStats) error {
+	order, fork := idx, c.Engine != EngineRerun
+	var whens []uint64
+	if fork {
+		var first bool
+		var err error
+		if whens, first, err = p.resolved(c.Obs); err != nil {
+			return err
 		}
-		return order[a] < order[b]
-	})
+		// Ties in dynamic index break by plan index.
+		order = append([]int(nil), idx...)
+		sort.Slice(order, func(a, b int) bool {
+			if whens[order[a]] != whens[order[b]] {
+				return whens[order[a]] < whens[order[b]]
+			}
+			return order[a] < order[b]
+		})
+		estats.Waypoints = p.gold.Waypoints()
+		if first {
+			estats.Forks = uint64(p.gold.Waypoints())
+			estats.PagesCopied = p.gold.PagesCopied()
+		}
+	}
 
-	var forks, pagesCopied, instrsReplayed, instrsSaved atomic.Uint64
+	stats := make([]EngineStats, workers) // per-lane engine work, summed below
 	errs := make([]error, workers)
+	// failed lets the first erroring lane stop the others early instead of
+	// letting them burn through their remaining injections.
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer c.Obs.StartSpan("worker_chunk", "worker", workerLabel(w), "engine", "fork").End()
-			chunk := order[w*len(order)/workers : (w+1)*len(order)/workers]
+			defer c.Obs.StartSpan("worker_chunk", "worker", workerLabel(w), "engine", c.Engine.String()).End()
+			st := &stats[w]
 			var cur *vm.Machine
 			var curDbg *debug.Debugger
-			for _, k := range chunk {
+			for k := w; k < len(order); k += workers {
 				if failed.Load() || ctx.Err() != nil {
 					return
 				}
-				i := idx[k]
+				i := order[k]
 				if completed[i] {
 					continue // restored from the journal
 				}
-				// The supervised body gets the worker's replay machine by
+				// The supervised body gets the lane's replay machine by
 				// value and hands back a replacement only on success: a
 				// timed-out body's abandoned goroutine may still be using
 				// the machine, so quarantine discards it and the next
 				// injection re-forks from a frozen waypoint.
-				i, when, bodyCur, bodyDbg := i, whens[k], cur, curDbg
-				out, quar, stack, err := supervise(c.Watchdog, func() (forkStep, error) {
+				bodyCur, bodyDbg := cur, curDbg
+				out, quar, stack, err := supervise(c.Watchdog, func() (laneStep, error) {
 					if c.beforeInjection != nil {
 						c.beforeInjection(i)
 					}
-					return c.forkOne(p, p.Plans[i], when, bodyCur, bodyDbg)
+					if !fork {
+						return c.one(p, p.Plans[i])
+					}
+					return c.forkOne(p, p.Plans[i], whens[i], bodyCur, bodyDbg)
 				})
 				if err != nil {
 					errs[w] = err
 					failed.Store(true)
 					return
 				}
-				var r injResult
 				if quar != "" {
-					cur, curDbg = nil, nil
-					r = c.quarantine(i, quar, stack)
-				} else {
-					cur, curDbg = out.cur, out.dbg
-					forks.Add(out.forks)
-					pagesCopied.Add(out.pages)
-					instrsReplayed.Add(out.replayed)
-					instrsSaved.Add(out.saved)
-					r = out.r
+					out = laneStep{r: c.quarantine(i, quar, stack)}
 				}
-				results[i] = r
+				cur, curDbg = out.cur, out.dbg
+				st.add(out.work)
+				results[i] = out.r
 				completed[i] = true
-				c.finish(i, w, r, quar, stack)
+				c.finish(i, w, out.r, quar, stack)
 			}
 			if cur != nil {
-				pagesCopied.Add(cur.Mem.CopiedPages())
+				st.PagesCopied += cur.Mem.CopiedPages()
 			}
 		}(w)
 	}
@@ -427,11 +382,9 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 			return err
 		}
 	}
-	estats.Waypoints = gold.Waypoints()
-	estats.Forks = uint64(gold.Waypoints()) + forks.Load()
-	estats.PagesCopied = gold.PagesCopied() + pagesCopied.Load()
-	estats.InstrsReplayed = instrsReplayed.Load()
-	estats.InstrsSaved = instrsSaved.Load()
+	for _, st := range stats {
+		estats.add(st)
+	}
 	return nil
 }
 
@@ -539,15 +492,15 @@ type injResult struct {
 }
 
 // one executes and classifies a single injection on the rerun engine.
-func (c *Campaign) one(p *PlannedCampaign, plan Plan) (injResult, error) {
+func (c *Campaign) one(p *PlannedCampaign, plan Plan) (laneStep, error) {
 	spExec := c.Obs.StartSpan("execute", "engine", "rerun")
 	ro, err := executeHub(p.prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs)
 	spExec.End()
 	if err != nil {
-		return injResult{}, err
+		return laneStep{}, err
 	}
 	r, _, err := c.classify(p, &ro)
-	return r, err
+	return laneStep{r: r}, err
 }
 
 // classify applies the app-level acceptance check and golden comparison

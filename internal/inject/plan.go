@@ -7,11 +7,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/letgo-hpc/letgo/internal/analysis"
 	"github.com/letgo-hpc/letgo/internal/engine"
 	"github.com/letgo-hpc/letgo/internal/isa"
+	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/pin"
 	"github.com/letgo-hpc/letgo/internal/resilience"
 	"github.com/letgo-hpc/letgo/internal/stats"
@@ -50,6 +52,31 @@ type PlannedCampaign struct {
 	gold      *engine.Golden // non-nil only for the fork engine
 	goldenOut []float64
 	stateSet  *analysis.StateSet
+
+	// whens[i] is plan i's dynamic index in the golden run, resolved by
+	// the first fork-engine unit to execute and shared by every later one.
+	resolve  sync.Once
+	whens    []uint64
+	whensErr error
+}
+
+// resolved returns every plan's dynamic index, by plan index. The first
+// call replays the golden run once under a site-matching hook (the
+// resolve_sites span); every unit of the plan, concurrent or not, shares
+// that one replay. first is true only for the call that performed it,
+// which is thereby the one that charges the golden recording's forks and
+// pages to its EngineStats — once per plan, not once per unit.
+func (p *PlannedCampaign) resolved(hub *obs.Hub) (whens []uint64, first bool, err error) {
+	p.resolve.Do(func() {
+		defer hub.StartSpan("resolve_sites").End()
+		first = true
+		sites := make([]pin.Site, len(p.Plans))
+		for i, pl := range p.Plans {
+			sites[i] = pl.Site
+		}
+		p.whens, p.whensErr = p.gold.ResolveWhens(sites)
+	})
+	return p.whens, first, p.whensErr
 }
 
 // PlanManifest is the serializable view of a PlannedCampaign: the

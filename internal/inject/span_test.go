@@ -34,7 +34,7 @@ func TestCampaignSpanTaxonomy(t *testing.T) {
 	}
 	for span, want := range map[string]uint64{
 		"compile": 1, "golden": 1, "profile": 1, "plan": 1, "inject": 1,
-		"worker_chunk": 2, "execute": n, "classify": n,
+		"resolve_sites": 1, "worker_chunk": 2, "execute": n, "classify": n,
 	} {
 		if spans[span] != want {
 			t.Errorf("span %q recorded %d durations, want %d (all: %v)",
