@@ -210,24 +210,35 @@ func Attach(m *vm.Machine, an *pin.Analysis, opts Options) *Runner {
 // uses.
 func (r *Runner) Run(maxInstrs uint64) Result {
 	r.Dbg.ResetResume()
+	return r.Conclude(r.Advance(maxInstrs))
+}
+
+// Advance is Run's supervised execution without its verdict: it returns
+// the stop that ended the run, or a StopBudget once the machine's absolute
+// retired count reaches limit. Nothing is concluded or counted, so a
+// caller may Advance a live run again to a later limit (the injector runs
+// the post-injection tail in segments this way) and Conclude it once.
+func (r *Runner) Advance(limit uint64) *debug.Stop {
 	for {
-		stop := r.Dbg.Supervise(maxInstrs, r.intercept)
-		switch stop.Reason {
-		case debug.StopHalt:
-			return r.result(RunCompleted, vm.SIGNONE)
-		case debug.StopBudget:
-			return r.result(RunHang, vm.SIGNONE)
-		case debug.StopTerminated, debug.StopSignal:
-			// StopSignal here means intercept declined the repair: the
-			// program dies of its crash either way.
-			return r.result(RunCrashed, stop.Signal)
-		case debug.StopBreakpoint:
-			// LetGo sets no breakpoints itself; a client (fault injector)
-			// may. Resume transparently.
-		default:
-			return r.result(RunCrashed, stop.Signal)
+		// LetGo sets no breakpoints itself; a client (fault injector)
+		// may. Resume transparently.
+		if stop := r.Dbg.Supervise(limit, r.intercept); stop.Reason != debug.StopBreakpoint {
+			return stop
 		}
 	}
+}
+
+// Conclude turns the stop that ended a supervised run into its Result. A
+// StopBudget is a hang; a StopSignal means intercept declined the repair,
+// so the program dies of its crash just as on StopTerminated.
+func (r *Runner) Conclude(stop *debug.Stop) Result {
+	switch stop.Reason {
+	case debug.StopHalt:
+		return r.result(RunCompleted, vm.SIGNONE)
+	case debug.StopBudget:
+		return r.result(RunHang, vm.SIGNONE)
+	}
+	return r.result(RunCrashed, stop.Signal)
 }
 
 // intercept is the monitor decision (steps 2-4 of the paper's Figure 3),

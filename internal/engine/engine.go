@@ -53,9 +53,6 @@ type waypoint struct {
 // workers.
 type Golden struct {
 	Prog *isa.Program
-	// Final is the halted golden machine (acceptance checks and golden
-	// output are read from it). Read-only.
-	Final *vm.Machine
 	// Retired is the golden dynamic instruction count.
 	Retired uint64
 	// Every is the effective waypoint spacing after adaptive thinning.
@@ -63,6 +60,10 @@ type Golden struct {
 
 	counts    []uint64
 	waypoints []waypoint
+	// final is the halted golden machine, sealed like a waypoint: reading
+	// a Memory moves its access caches, so readers take ForkFinal.
+	final       *vm.Machine
+	pagesCopied uint64 // COW faults of the recording machine
 }
 
 // Record executes prog to completion on a fresh machine, counting every
@@ -107,22 +108,32 @@ func RecordObs(prog *isa.Program, cfg vm.Config, every, budget uint64, hub *obs.
 			return false
 		},
 	})
-	switch stop.Reason {
-	case vm.StopHalted:
-	case vm.StopBudget:
-		return nil, fmt.Errorf("engine: golden run exceeded budget of %d instructions", budget)
-	case vm.StopTrap:
-		return nil, fmt.Errorf("engine: fault-free golden run trapped: %w", stop.Trap)
-	default:
-		return nil, fmt.Errorf("engine: fault-free golden run trapped: %w", stop.Err)
+	if err := goldenStopErr(stop, budget); err != nil {
+		return nil, err
 	}
-	g.Final = m
+	g.final = m.Fork()
+	g.pagesCopied = m.Mem.CopiedPages()
 	g.Retired = m.Retired
 	if hub != nil {
 		hub.Gauge("letgo_engine_waypoints").Set(float64(len(g.waypoints)))
 		hub.Gauge("letgo_engine_golden_retired_instructions").Set(float64(g.Retired))
 	}
 	return g, nil
+}
+
+// goldenStopErr explains why a recording that did not halt stopped.
+func goldenStopErr(stop vm.Stop, budget uint64) error {
+	switch stop.Reason {
+	case vm.StopHalted:
+		return nil
+	case vm.StopBudget:
+		return fmt.Errorf("engine: golden run exceeded budget of %d instructions", budget)
+	case vm.StopTrap:
+		return fmt.Errorf("engine: fault-free golden run trapped: %w", stop.Trap)
+	case vm.StopError:
+		return fmt.Errorf("engine: fault-free golden run stopped on a machine error: %w", stop.Err)
+	}
+	return fmt.Errorf("engine: fault-free golden run stopped early (%v)", stop.Reason)
 }
 
 // thin doubles the waypoint spacing and drops the waypoints that no
@@ -170,9 +181,33 @@ func (g *Golden) ForkAt(retired uint64) (*vm.Machine, uint64) {
 	return w.m.Fork(), w.retired
 }
 
+// WaypointAfter returns the retirement count of the (skip+1)-th waypoint
+// strictly after retired; ok is false when the ladder ends before it.
+func (g *Golden) WaypointAfter(retired uint64, skip int) (at uint64, ok bool) {
+	i := g.nearest(retired) + 1 + skip
+	if i >= len(g.waypoints) {
+		return 0, false
+	}
+	return g.waypoints[i].retired, true
+}
+
+// ConvergedAt reports whether m, stopped at a waypoint's retirement count,
+// is in exactly the state the golden run was in there (vm.SameState). The
+// machine is deterministic, so such a run retires the golden suffix from
+// here on and ends as ForkFinal. False when no waypoint sits at m.Retired.
+// Safe for concurrent use: the waypoint is only read.
+func (g *Golden) ConvergedAt(m *vm.Machine) bool {
+	w := g.waypoints[g.nearest(m.Retired)]
+	return w.retired == m.Retired && m.SameState(w.m)
+}
+
+// ForkFinal returns a private copy-on-write fork of the halted golden
+// machine, for acceptance checks and output reads. Safe for concurrent use.
+func (g *Golden) ForkFinal() *vm.Machine { return g.final.Fork() }
+
 // PagesCopied reports the COW page copies charged to the golden recording
 // itself (the recording machine faulting pages out of its own waypoints).
-func (g *Golden) PagesCopied() uint64 { return g.Final.Mem.CopiedPages() }
+func (g *Golden) PagesCopied() uint64 { return g.pagesCopied }
 
 // ResolveWhens maps injection sites — (static address, dynamic instance)
 // pairs — to the absolute retired-instruction count at which each site's

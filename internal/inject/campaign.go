@@ -203,6 +203,14 @@ type EngineStats struct {
 	// InstrsSaved counts prefix instructions the rerun engine would have
 	// executed but the fork engine did not.
 	InstrsSaved uint64
+	// Converged counts injected runs cut short at a waypoint where their
+	// state was bit-identical to the golden run's, and InstrsElided the
+	// golden-suffix instructions those runs did not execute. Such a run
+	// still reports the golden run's Retired, so Σ Retired over a
+	// campaign's injections exceeds the instructions executed by exactly
+	// InstrsElided.
+	Converged    uint64
+	InstrsElided uint64
 }
 
 // Result summarizes a campaign.
@@ -387,6 +395,10 @@ func (c *Campaign) registerMetrics() {
 	reg.Counter("letgo_engine_instructions_replayed_total")
 	reg.Help("letgo_engine_instructions_saved_total", "Prefix instructions the fork engine avoided versus rerun.")
 	reg.Counter("letgo_engine_instructions_saved_total")
+	reg.Help("letgo_engine_converged_total", "Injected runs cut short where they reconverged with the golden run.")
+	reg.Counter("letgo_engine_converged_total")
+	reg.Help("letgo_engine_instructions_elided_total", "Golden-suffix instructions reconverged runs did not execute.")
+	reg.Counter("letgo_engine_instructions_elided_total")
 	reg.Help("letgo_resume_skipped_total", "Injections restored from the resume journal instead of re-executed.")
 	reg.Counter("letgo_resume_skipped_total")
 	reg.Help("letgo_resume_journaled_total", "Injections appended to the resume journal.")

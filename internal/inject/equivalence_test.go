@@ -38,7 +38,7 @@ func renderTable(t *testing.T, r *inject.Result) string {
 func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 	n := 40
 	if testing.Short() {
-		n = 12
+		n = 20 // the fewest at which a run of every app (HPL last) converges
 	}
 	for _, app := range apps.All() {
 		for _, mode := range []inject.Mode{inject.NoLetGo, inject.LetGoB, inject.LetGoE} {
@@ -66,6 +66,16 @@ func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 					r, err := c.Run()
 					if err != nil {
 						t.Fatalf("engine=%v workers=%d: %v", g.engine, g.workers, err)
+					}
+					// The fork engine stops runs that reconverge with the
+					// golden run early; rerun never does, which makes this
+					// grid the proof that every such stop is exact. Keep the
+					// path demonstrably live.
+					switch conv := r.EngineStats.Converged; {
+					case g.engine == inject.EngineRerun && conv != 0:
+						t.Errorf("rerun engine short-circuited %d runs", conv)
+					case g.engine == inject.EngineFork && mode == inject.LetGoE && conv == 0:
+						t.Errorf("engine=fork workers=%d: no run of %d converged with the golden run", g.workers, n)
 					}
 					got := normalize(r)
 					table := renderTable(t, r)

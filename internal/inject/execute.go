@@ -90,6 +90,8 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 		c.Obs.Counter("letgo_engine_pages_copied_total").Add(estats.PagesCopied)
 		c.Obs.Counter("letgo_engine_instructions_replayed_total").Add(estats.InstrsReplayed)
 		c.Obs.Counter("letgo_engine_instructions_saved_total").Add(estats.InstrsSaved)
+		c.Obs.Counter("letgo_engine_converged_total").Add(estats.Converged)
+		c.Obs.Counter("letgo_engine_instructions_elided_total").Add(estats.InstrsElided)
 	}
 
 	res = c.aggregate(p, unit, results, completed, resumed, estats)
@@ -111,7 +113,9 @@ func (c *Campaign) reportShard(unit *WorkUnit) {
 		c.Obs.Gauge("letgo_shard_count").Set(float64(unit.Spec.Count))
 		c.Obs.Gauge("letgo_shard_planned_injections", "app", c.App.Name).Set(float64(unit.Size()))
 	}
-	if o, ok := c.Observer.(interface{ Sharded(index, count, planned int) }); ok {
+	if o, ok := c.Observer.(interface {
+		Sharded(index, count, planned int)
+	}); ok {
 		o.Sharded(unit.Spec.Index, unit.Spec.Count, unit.Size())
 	}
 }
@@ -235,11 +239,14 @@ func (s *EngineStats) add(d EngineStats) {
 	s.PagesCopied += d.PagesCopied
 	s.InstrsReplayed += d.InstrsReplayed
 	s.InstrsSaved += d.InstrsSaved
+	s.Converged += d.Converged
+	s.InstrsElided += d.InstrsElided
 }
 
 // forkOne positions a replay machine at the injection's dynamic index
 // (re-forking from a waypoint when one leapfrogs the machine), runs the
-// injection on a COW fork of it, and classifies the outcome.
+// injection on a COW fork of it — only as far as the point where it
+// reconverges with the golden run, if it does — and classifies the outcome.
 func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.Machine, curDbg *debug.Debugger) (laneStep, error) {
 	var out laneStep
 	gold := p.gold
@@ -262,17 +269,19 @@ func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.M
 	runM := cur.Fork()
 	out.work.Forks++
 	spExec := c.Obs.StartSpan("execute", "engine", "fork")
-	ro, err := executeAt(gold.Prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs, runM)
+	ro, err := executeAt(gold, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs, runM)
 	spExec.End()
 	if err != nil {
 		return out, err
 	}
-	r, pages, err := c.classify(p, &ro)
-	if err != nil {
+	out.work.PagesCopied += runM.Mem.CopiedPages()
+	if ro.elided > 0 {
+		out.work.Converged++
+		out.work.InstrsElided += ro.elided
+	}
+	if out.r, err = c.classify(p, &ro); err != nil {
 		return out, err
 	}
-	out.work.PagesCopied += pages
-	out.r = r
 	out.cur, out.dbg = cur, curDbg
 	return out, nil
 }
@@ -499,18 +508,17 @@ func (c *Campaign) one(p *PlannedCampaign, plan Plan) (laneStep, error) {
 	if err != nil {
 		return laneStep{}, err
 	}
-	r, _, err := c.classify(p, &ro)
+	r, err := c.classify(p, &ro)
 	return laneStep{r: r}, err
 }
 
 // classify applies the app-level acceptance check and golden comparison
-// to a raw run outcome. It returns the COW page-copy cost of the run's
-// machine and then drops the machine reference from ro, so a finished
-// run's page tables become collectable while the campaign is still
-// executing (campaigns hold every injResult until aggregation, and N
+// to a raw run outcome, and then drops the machine reference from ro, so a
+// finished run's page tables become collectable while the campaign is
+// still executing (campaigns hold every injResult until aggregation, and N
 // machines' worth of dirty pages is the difference between a flat and a
 // linearly growing footprint).
-func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, uint64, error) {
+func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, error) {
 	defer c.Obs.StartSpan("classify").End()
 	rec := outcome.RunRecord{
 		Finished: ro.Finished,
@@ -524,18 +532,17 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, uint
 	if ro.Finished {
 		pass, err := c.App.Accept(ro.Machine)
 		if err != nil {
-			return injResult{}, 0, err
+			return injResult{}, err
 		}
 		rec.CheckPassed = pass
 		if pass {
 			out, err := c.App.Output(ro.Machine)
 			if err != nil {
-				return injResult{}, 0, err
+				return injResult{}, err
 			}
 			rec.MatchesGolden = c.App.MatchesGolden(out, p.goldenOut)
 		}
 	}
-	pages := ro.Machine.Mem.CopiedPages()
 	ro.Machine = nil
 	repairSafe := false
 	if p.stateSet != nil {
@@ -549,5 +556,5 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, uint
 		latency:    ro.CrashLatency,
 		hasLatency: ro.HasLatency,
 		retired:    ro.Retired,
-	}, pages, nil
+	}, nil
 }

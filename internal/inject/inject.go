@@ -12,6 +12,7 @@ import (
 
 	"github.com/letgo-hpc/letgo/internal/core"
 	"github.com/letgo-hpc/letgo/internal/debug"
+	"github.com/letgo-hpc/letgo/internal/engine"
 	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/pin"
@@ -173,6 +174,13 @@ type RunOutcome struct {
 	// founding observation is that this latency is small.
 	CrashLatency uint64
 	HasLatency   bool
+
+	// checks counts the golden-convergence comparisons the run made, and
+	// elided the golden-suffix instructions it did not execute because one
+	// matched (runOut); both are zero off the fork engine. A converged run
+	// reports Retired and Machine as the golden run's.
+	checks int
+	elided uint64
 }
 
 // Execute performs one injection run: break at the planned site, step the
@@ -222,25 +230,70 @@ func executeHub(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, overr
 		return RunOutcome{}, fmt.Errorf("inject: never reached site %+v (stop %v)", plan.Site, stop.Reason)
 	}
 	dbg.ClearBreakpoint(plan.Site.Addr)
-	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub)
+	return corruptAndContinue(prog, an, plan, dbg, runner, nil, budget, hub)
 }
 
 // executeAt is the fork-replay counterpart of executeHub: it runs one
 // injection on a machine that a scheduler has already positioned at the
-// injection site (PC at the site's address, about to execute it).
-func executeAt(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub, m *vm.Machine) (RunOutcome, error) {
+// injection site (PC at the site's address, about to execute it). gold is
+// the recording m was forked from; the run stops early once it reconverges
+// with it (runOut).
+func executeAt(gold *engine.Golden, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub, m *vm.Machine) (RunOutcome, error) {
 	if m.PC != plan.Site.Addr {
 		return RunOutcome{}, fmt.Errorf("inject: fork positioned at pc %#x, want site %#x", m.PC, plan.Site.Addr)
 	}
 	dbg, runner := attachSupervision(m, an, mode, override, hub)
-	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub)
+	return corruptAndContinue(gold.Prog, an, plan, dbg, runner, gold, budget, hub)
+}
+
+// runOut continues a corrupted run to its end state under the attached
+// supervision and returns the stop that ended it.
+//
+// Given the golden recording the machine was forked from, it runs in
+// waypoint-bounded segments: at a waypoint it compares the machine with
+// the golden run's at the same retirement count (engine.ConvergedAt), and
+// on equality stops there — the machine is deterministic, so the run would
+// retire exactly the golden suffix and halt as the golden run did. The
+// stop is then a synthesized halt and elided the suffix length. The first
+// check is at the next waypoint; each miss doubles the distance to the
+// following one, so a run that never converges pays a logarithmic number
+// of comparisons. With a nil recording the loop is one unsegmented run.
+func runOut(dbg *debug.Debugger, runner *core.Runner, gold *engine.Golden, budget uint64) (stop *debug.Stop, checks int, elided uint64) {
+	advance := dbg.Continue
+	if runner != nil {
+		dbg.ResetResume()
+		advance = runner.Advance
+	}
+	// A repair advances the PC without retiring the faulting instruction,
+	// which takes the run out of Retired lockstep with the golden run for
+	// good: it cannot converge any more, so it is no longer checked.
+	lockstep := func() bool { return runner == nil || len(runner.Events()) == 0 }
+	for gap := 1; ; gap *= 2 {
+		at, ok := uint64(0), false
+		if gold != nil && lockstep() {
+			at, ok = gold.WaypointAfter(dbg.M.Retired, gap-1)
+		}
+		if !ok || at >= budget {
+			return advance(budget), checks, 0
+		}
+		if stop := advance(at); stop.Reason != debug.StopBudget {
+			return stop, checks, 0
+		}
+		if !lockstep() {
+			continue // repaired inside this segment: the next pass runs the rest out
+		}
+		checks++
+		if gold.ConvergedAt(dbg.M) {
+			return &debug.Stop{Reason: debug.StopHalt}, checks, gold.Retired - at
+		}
+	}
 }
 
 // corruptAndContinue executes the target instruction, flips the planned
 // bits in its destination register, and continues the run to an end state
-// under the attached supervision. On entry the machine must be stopped
-// exactly at the injection site.
-func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *debug.Debugger, runner *core.Runner, budget uint64, hub *obs.Hub) (RunOutcome, error) {
+// under the attached supervision (runOut). On entry the machine must be
+// stopped exactly at the injection site.
+func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *debug.Debugger, runner *core.Runner, gold *engine.Golden, budget uint64, hub *obs.Hub) (RunOutcome, error) {
 	m := dbg.M
 	// Execute the target instruction, then corrupt its destination.
 	if s := dbg.StepInstr(); s != nil {
@@ -250,10 +303,12 @@ func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *deb
 	flipDest(dbg, in, plan.Mask)
 	injectedAt := m.Retired
 
-	out := RunOutcome{Plan: plan, Machine: m}
+	out := RunOutcome{Plan: plan}
 	out.DestLive, _ = an.DestLiveAt(plan.Site.Addr)
+	var stop *debug.Stop
+	stop, out.checks, out.elided = runOut(dbg, runner, gold, budget)
 	if runner != nil {
-		res := runner.Run(budget)
+		res := runner.Conclude(stop)
 		out.Repaired = res.Repairs > 0
 		out.Signal = res.Signal
 		out.Finished = res.Outcome == core.RunCompleted
@@ -266,7 +321,6 @@ func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *deb
 			out.HasLatency = true
 		}
 	} else {
-		stop := dbg.Continue(budget)
 		switch stop.Reason {
 		case debug.StopHalt:
 			out.Finished = true
@@ -280,9 +334,14 @@ func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *deb
 			return RunOutcome{}, fmt.Errorf("inject: unexpected stop %v", stop.Reason)
 		}
 	}
-	out.Retired = m.Retired
+	out.Machine = m
+	if out.elided > 0 {
+		// The run ends as the golden run did; report it as if it had.
+		out.Machine = gold.ForkFinal()
+	}
+	out.Retired = out.Machine.Retired
 	if hub != nil {
-		hub.Counter("letgo_vm_retired_instructions_total").Add(m.Retired)
+		hub.Counter("letgo_vm_retired_instructions_total").Add(out.Retired)
 	}
 	return out, nil
 }

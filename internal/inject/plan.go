@@ -219,7 +219,7 @@ func (c *Campaign) plan(ctx context.Context, setPhase func(string)) (*PlannedCam
 		if p.gold, err = engine.RecordObs(prog, vm.Config{}, c.WaypointEvery, profileBudget, c.Obs); err != nil {
 			return nil, fmt.Errorf("inject: golden run of %s: %w", c.App.Name, err)
 		}
-		gm = p.gold.Final
+		gm = p.gold.ForkFinal()
 	}
 	if err := c.checkGolden(p, gm); err != nil {
 		return nil, err

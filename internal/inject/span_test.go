@@ -22,7 +22,8 @@ func TestCampaignSpanTaxonomy(t *testing.T) {
 		Obs:      hub,
 		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil, nil),
 	}
-	if _, err := c.Run(); err != nil {
+	res, err := c.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,15 +69,37 @@ func TestCampaignSpanTaxonomy(t *testing.T) {
 	}
 
 	// Campaign-level accounting: the outcome-class counters must sum to n
-	// and the campaign duration gauge must be set.
-	var outcomes uint64
+	// and the campaign duration gauge must be set. Runs cut short at a
+	// golden convergence ran in segments, but still count one supervised
+	// run each — a completed one — and nothing per segment.
+	var outcomes, runs uint64
 	for _, cv := range hub.Reg.Snapshot().Counters {
-		if cv.Name == "letgo_outcomes_total" {
+		switch cv.Name {
+		case "letgo_outcomes_total":
 			outcomes += cv.Value
+		case "letgo_runs_total":
+			runs += cv.Value
 		}
 	}
-	if outcomes != n {
-		t.Errorf("letgo_outcomes_total sums to %d, want %d", outcomes, n)
+	if outcomes != n || runs != n {
+		t.Errorf("letgo_outcomes_total sums to %d and letgo_runs_total to %d, want %d each", outcomes, runs, n)
+	}
+	es := res.EngineStats
+	if es.Converged == 0 || es.InstrsElided == 0 {
+		t.Errorf("no run converged with the golden run: %+v", es)
+	}
+	if completed := hub.Counter("letgo_runs_total", "outcome", "completed").Value(); completed < es.Converged {
+		t.Errorf("%d completed runs, fewer than the %d that converged", completed, es.Converged)
+	}
+	for name, want := range map[string]uint64{
+		"letgo_engine_forks_total":                 es.Forks,
+		"letgo_engine_converged_total":             es.Converged,
+		"letgo_engine_instructions_elided_total":   es.InstrsElided,
+		"letgo_engine_instructions_replayed_total": es.InstrsReplayed,
+	} {
+		if got := hub.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, EngineStats says %d", name, got, want)
+		}
 	}
 	if hub.Reg.Gauge("letgo_campaign_duration_seconds", "app", a.Name).Value() <= 0 {
 		t.Error("letgo_campaign_duration_seconds not set")

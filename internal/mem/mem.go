@@ -10,9 +10,11 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -385,10 +387,77 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	return nil
 }
 
-// Snapshot returns an isolated copy of the memory (pages and segment
-// table). Historically a deep O(pages) copy; it is now a compatibility
-// shim over the copy-on-write Fork, with identical observable semantics.
-func (m *Memory) Snapshot() *Memory { return m.Fork() }
+// zeroPage stands in for a page no layer holds: untouched memory reads as
+// zero, so it must compare equal to an explicitly zeroed page.
+var zeroPage [PageSize]byte
+
+// Equal reports whether a and b have the same segment table and the same
+// bytes at every address. Only pages touched above the two memories'
+// newest common frozen layer can differ, so only those are resolved, and a
+// page both sides resolve to the same backing array — the usual case
+// between copy-on-write relatives — is equal without looking at its bytes.
+//
+// Equal reads neither memory's access caches, so one side may be a frozen
+// Memory (never written since it was forked) that other goroutines are
+// comparing against or forking at the same time.
+func Equal(a, b *Memory) bool {
+	if !slices.Equal(a.segments, b.segments) {
+		return false
+	}
+	common := commonBase(a.base, b.base)
+	seen := make(map[uint64]struct{}, len(a.pages)+len(b.pages))
+	same := func(pages map[uint64][]byte) bool {
+		for idx := range pages {
+			if _, ok := seen[idx]; ok {
+				continue
+			}
+			seen[idx] = struct{}{}
+			p, q := a.readPage(idx*PageSize), b.readPage(idx*PageSize)
+			if p == nil {
+				p = zeroPage[:]
+			}
+			if q == nil {
+				q = zeroPage[:]
+			}
+			if &p[0] != &q[0] && !bytes.Equal(p, q) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, m := range []*Memory{a, b} {
+		if !same(m.pages) {
+			return false
+		}
+		for f := m.base; f != common; f = f.parent {
+			if !same(f.pages) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// commonBase returns the newest frozen layer on both chains, or nil when
+// they share none (unrelated memories, or a flatten on either side since
+// they diverged). A layer's depth is its distance from the chain's root, so
+// a shared layer sits at the same depth in both chains.
+func commonBase(x, y *frozen) *frozen {
+	for x != y {
+		if x == nil || y == nil {
+			return nil
+		}
+		switch {
+		case x.depth > y.depth:
+			x = x.parent
+		case y.depth > x.depth:
+			y = y.parent
+		default:
+			x, y = x.parent, y.parent
+		}
+	}
+	return x
+}
 
 // TouchedPages returns the number of distinct pages materialized for this
 // memory, counting private pages and every page reachable through the

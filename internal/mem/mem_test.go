@@ -151,7 +151,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err := m.Write8(0x10000, 111); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
+	snap := m.Fork()
 	if err := m.Write8(0x10000, 222); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +336,9 @@ func TestSnapshotIsForkShim(t *testing.T) {
 	if err := m.Write8(0x10000, 42); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Snapshot()
+	s := m.Fork()
 	if s.base == nil || s.CopiedPages() != 0 {
-		t.Fatal("Snapshot should be a zero-copy COW fork")
+		t.Fatal("a fork used as a snapshot should copy no pages")
 	}
 	if err := m.Write8(0x10000, 43); err != nil {
 		t.Fatal(err)

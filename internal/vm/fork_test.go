@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/asm"
@@ -84,6 +85,50 @@ func TestForkMemoryIsolation(t *testing.T) {
 	}
 	if v, _ := m.Mem.Read8(0x10000); v != 20 {
 		t.Fatalf("fork write leaked into parent: %d", v)
+	}
+}
+
+// TestSameState checks every component of the compared state on its own:
+// a fork is in its parent's state until any one of PC, halt flag,
+// retirement count, either register file (as bit patterns) or memory moves.
+func TestSameState(t *testing.T) {
+	m := forkMachine(t)
+	for i := 0; i < 10; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.F[3] = math.NaN()
+	if f := m.Fork(); !m.SameState(f) || !f.SameState(m) {
+		t.Fatal("a fork is not in its parent's state (NaN registers must compare by bits)")
+	}
+	for name, change := range map[string]func(f *Machine){
+		"pc":      func(f *Machine) { f.PC += isa.InstrBytes },
+		"halted":  func(f *Machine) { f.Halted = true },
+		"retired": func(f *Machine) { f.Retired++ },
+		"x":       func(f *Machine) { f.X[9] ^= 1 << 40 },
+		"f sign":  func(f *Machine) { f.F[5] = math.Copysign(0, -1) }, // -0 == +0 numerically
+		"memory":  func(f *Machine) { f.Mem.Write8(0x10000, 99) },     //nolint:errcheck // mapped global
+	} {
+		f := m.Fork()
+		change(f)
+		if m.SameState(f) || f.SameState(m) {
+			t.Errorf("machines differing only in %s are in the same state", name)
+		}
+	}
+	// Two machines that executed the same instructions separately share no
+	// page arrays and are still in the same state.
+	a, b := forkMachine(t), forkMachine(t)
+	for i := 0; i < 25; i++ {
+		if err := a.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !a.SameState(b) {
+		t.Fatal("two machines after the same 25 instructions differ")
 	}
 }
 

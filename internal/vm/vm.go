@@ -430,6 +430,24 @@ func (m *Machine) Fork() *Machine {
 	return &c
 }
 
+// SameState reports whether m and o are in bit-identical architectural
+// state: PC, halt flag, retirement count (CYCLES reads it, so it is state),
+// both register files compared as bit patterns, and memory (mem.Equal).
+// Two machines of one program in the same state retire the same
+// instructions from here on. It writes to neither machine, so o may be a
+// frozen machine shared between goroutines.
+func (m *Machine) SameState(o *Machine) bool {
+	if m.PC != o.PC || m.Halted != o.Halted || m.Retired != o.Retired || m.X != o.X {
+		return false
+	}
+	for i := range m.F {
+		if math.Float64bits(m.F[i]) != math.Float64bits(o.F[i]) {
+			return false
+		}
+	}
+	return mem.Equal(m.Mem, o.Mem)
+}
+
 // Reset rewinds the machine to its freshly-loaded state — the state New
 // returned: segments remapped, initialized data rewritten, registers
 // zeroed, PC at the entry and sp = bp = stack top. The program image and
