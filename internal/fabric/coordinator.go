@@ -18,6 +18,13 @@ import (
 // CompleteRequest full of journal records, which is well under this.
 const maxBody = 64 << 20
 
+// holdCap is the longest the coordinator holds a campaign or lease
+// request that has no answer yet before giving today's idle answer
+// (Spec nil, Wait). It must stay below clientTimeout, or a held worker
+// would time out client-side and retry into backoff instead of being
+// answered.
+const holdCap = 25 * time.Second
+
 // Options configures a Coordinator.
 type Options struct {
 	// LeaseTTL is how long a leased unit survives without a heartbeat
@@ -44,12 +51,19 @@ type Coordinator struct {
 	ttl      time.Duration
 	unitSize int
 	now      func() time.Time
+	hold     time.Duration // holdCap, except in tests
 
 	mu      sync.Mutex
 	gen     int
 	cur     *campaignState
 	done    bool
 	workers map[string]*workerState
+	// wake is closed and replaced (wakeLocked) on every transition that
+	// can change the answer to a held request or to AwaitDrain: campaign
+	// published, finished or aborted, a unit back on the queue, Finish, a
+	// worker told Done. A waiter reads the state and this channel under
+	// one acquisition of mu, so no transition falls between the two.
+	wake chan struct{}
 
 	leasesGranted    int
 	leasesExpired    int
@@ -62,6 +76,7 @@ type workerState struct {
 	lastSeen       time.Time
 	toldDone       bool
 	unitsCompleted int
+	held           int // requests this worker has on hold right now
 }
 
 type campaignState struct {
@@ -91,13 +106,21 @@ type unit struct {
 
 // finishLocked terminates the campaign (err nil for success) exactly
 // once. Callers hold the coordinator mutex.
-func (st *campaignState) finishLocked(err error) {
+func (c *Coordinator) finishLocked(st *campaignState, err error) {
 	if st.finished {
 		return
 	}
 	st.finished = true
 	st.err = err
 	close(st.doneCh)
+	c.wakeLocked()
+}
+
+// wakeLocked releases every held request and AwaitDrain to look at the
+// state again. Callers hold the coordinator mutex.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // NewCoordinator builds a coordinator persisting through journal (which
@@ -110,7 +133,9 @@ func NewCoordinator(journal *resilience.Journal, o Options) *Coordinator {
 		ttl:      o.LeaseTTL,
 		unitSize: o.UnitSize,
 		now:      time.Now,
+		hold:     holdCap,
 		workers:  map[string]*workerState{},
+		wake:     make(chan struct{}),
 	}
 	if c.ttl <= 0 {
 		c.ttl = DefaultLeaseTTL
@@ -187,8 +212,9 @@ func (c *Coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) err
 	c.gen++
 	st.gen = c.gen
 	c.cur = st
+	c.wakeLocked()
 	if st.completed == len(st.units) {
-		st.finishLocked(nil)
+		c.finishLocked(st, nil)
 	}
 	c.mu.Unlock()
 	c.hub.Gauge("letgo_fabric_generation").Set(float64(st.gen))
@@ -197,7 +223,7 @@ func (c *Coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) err
 	select {
 	case <-ctx.Done():
 		c.mu.Lock()
-		st.finishLocked(ctx.Err())
+		c.finishLocked(st, ctx.Err())
 		c.cur = nil
 		c.mu.Unlock()
 		c.journal.Flush()
@@ -214,34 +240,102 @@ func (c *Coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) err
 	}
 }
 
-// Finish marks the whole invocation done: campaign polls and leases now
-// answer Done so workers exit cleanly.
+// Finish marks the whole invocation done: campaign polls and leases,
+// held ones included, now answer Done so workers exit cleanly.
 func (c *Coordinator) Finish() {
 	c.mu.Lock()
 	c.done = true
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 
-// AwaitDrain waits (up to timeout) until every worker seen recently has
-// polled the Done answer at least once, so the coordinator process can
-// exit without stranding workers in their retry loops. Workers that died
-// silently simply age out of the wait.
+// AwaitDrain waits (up to timeout) until every worker seen recently, or
+// holding a request right now, has been given the Done answer at least
+// once, so the coordinator process can exit without stranding workers in
+// their retry loops. Workers that died silently simply age out of the
+// wait.
 func (c *Coordinator) AwaitDrain(timeout time.Duration) {
-	deadline := c.now().Add(timeout)
-	for c.now().Before(deadline) {
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
+	for {
 		c.mu.Lock()
+		now := c.now()
 		waiting := 0
 		for _, w := range c.workers {
-			if !w.toldDone && c.now().Sub(w.lastSeen) < timeout {
+			if !w.toldDone && (w.held > 0 || now.Sub(w.lastSeen) < timeout) {
 				waiting++
 			}
 		}
+		wake := c.wake
 		c.mu.Unlock()
 		if waiting == 0 {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-wake:
+		case <-expired.C:
+			return
+		}
 	}
+}
+
+// await answers a request that may have to be held. It calls answer
+// under the coordinator mutex; while answer reports that it has nothing
+// for this worker yet (idle), await parks the request and calls answer
+// again when a transition broadcasts on c.wake, when the earliest
+// outstanding lease reaches its expiry (so a waiting worker steals a
+// dead worker's unit at the TTL), or when the hold cap passes. The last
+// answer computed is the one sent: after the cap that is the idle answer
+// a coordinator that never held would give. A client that goes away
+// ends the hold without another call — nothing is leased to it.
+func (c *Coordinator) await(ctx context.Context, worker string, answer func(ws *workerState) (idle bool)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	deadline := c.now().Add(c.hold)
+	for ctx.Err() == nil {
+		ws := c.touchLocked(worker)
+		idle := answer(ws)
+		now := c.now()
+		if !idle || !now.Before(deadline) {
+			return
+		}
+		wait := deadline.Sub(now)
+		if exp, ok := c.nextExpiryLocked(); ok && exp.Sub(now) < wait {
+			wait = exp.Sub(now)
+		}
+		wake := c.wake
+		if ws != nil {
+			ws.held++
+		}
+		c.mu.Unlock()
+		t := time.NewTimer(wait)
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+		c.mu.Lock()
+		if ws != nil {
+			ws.held--
+		}
+	}
+}
+
+// nextExpiryLocked returns the earliest expiry among the current
+// campaign's outstanding leases.
+func (c *Coordinator) nextExpiryLocked() (time.Time, bool) {
+	var next time.Time
+	st := c.cur
+	if st == nil || st.finished {
+		return next, false
+	}
+	for _, u := range st.units {
+		if u.leased && !u.done && (next.IsZero() || u.expires.Before(next)) {
+			next = u.expires
+		}
+	}
+	return next, !next.IsZero()
 }
 
 // Handler returns the coordinator's HTTP surface: the four /fabric/
@@ -279,26 +373,32 @@ func (c *Coordinator) touchLocked(name string) *workerState {
 	return w
 }
 
-// expireLocked returns every overdue lease to the queue — the work-
-// stealing half of the protocol. It runs lazily on each request that
-// could observe the queue, so liveness needs no background timer: a
-// worker asking for work is exactly the moment a stolen unit has
-// somewhere to go.
+// expireLocked returns every lease that has reached its expiry to the
+// queue — the work-stealing half of the protocol. It runs lazily on each
+// request that could observe the queue, a held lease request included
+// (await wakes it at the earliest expiry), so liveness needs no
+// background timer: a worker asking for work is exactly the moment a
+// stolen unit has somewhere to go.
 func (c *Coordinator) expireLocked() {
 	st := c.cur
 	if st == nil || st.finished {
 		return
 	}
 	now := c.now()
+	requeued := false
 	for _, u := range st.units {
-		if u.leased && !u.done && now.After(u.expires) {
+		if u.leased && !u.done && !now.Before(u.expires) {
 			u.leased = false
 			u.worker = ""
 			u.stolen++
 			st.pending = append(st.pending, u.id)
 			c.leasesExpired++
 			c.hub.Counter("letgo_fabric_lease_expirations_total").Inc()
+			requeued = true
 		}
+	}
+	if requeued {
+		c.wakeLocked()
 	}
 }
 
@@ -307,22 +407,29 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	worker := r.URL.Query().Get("worker")
-	c.mu.Lock()
-	ws := c.touchLocked(worker)
-	resp := CampaignResponse{Done: c.done}
-	if c.done && ws != nil {
-		ws.toldDone = true
-	}
-	if !c.done && c.cur != nil && !c.cur.finished {
-		st := c.cur
-		resp.Spec = &CampaignSpec{
-			Generation: st.gen, Key: st.key, ManifestDigest: st.digest,
-			Units: len(st.units), UnitSize: st.unitSize, LeaseTTL: c.ttl,
+	var resp CampaignResponse
+	c.await(r.Context(), r.URL.Query().Get("worker"), func(ws *workerState) bool {
+		resp = CampaignResponse{Done: c.done}
+		if c.done {
+			c.toldDoneLocked(ws)
+		} else if st := c.cur; st != nil && !st.finished {
+			resp.Spec = &CampaignSpec{
+				Generation: st.gen, Key: st.key, ManifestDigest: st.digest,
+				Units: len(st.units), UnitSize: st.unitSize, LeaseTTL: c.ttl,
+			}
 		}
-	}
-	c.mu.Unlock()
+		return !resp.Done && resp.Spec == nil
+	})
 	writeJSON(w, resp)
+}
+
+// toldDoneLocked records that a worker has been given the Done answer,
+// which is what AwaitDrain waits for.
+func (c *Coordinator) toldDoneLocked(ws *workerState) {
+	if ws != nil && !ws.toldDone {
+		ws.toldDone = true
+		c.wakeLocked()
+	}
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -334,37 +441,36 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "lease needs a worker name", http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
-	ws := c.touchLocked(req.Worker)
 	var resp LeaseResponse
-	st := c.cur
-	switch {
-	case c.done:
-		resp.Done = true
-		if ws != nil {
+	c.await(r.Context(), req.Worker, func(ws *workerState) bool {
+		resp = LeaseResponse{}
+		st := c.cur
+		switch {
+		case c.done:
+			resp.Done = true
 			// A worker can spend its whole life in the lease loop, so
 			// the drain accounting must count a Done answer here too.
-			ws.toldDone = true
+			c.toldDoneLocked(ws)
+		case st == nil || st.finished || req.Generation != st.gen:
+			resp.Stale = true
+		default:
+			c.expireLocked()
+			if len(st.pending) == 0 {
+				resp.Wait = true
+				break
+			}
+			id := st.pending[0]
+			st.pending = st.pending[1:]
+			u := st.units[id]
+			u.leased = true
+			u.worker = req.Worker
+			u.expires = c.now().Add(c.ttl)
+			c.leasesGranted++
+			c.hub.Counter("letgo_fabric_leases_granted_total").Inc()
+			resp.Unit = &LeaseUnit{ID: u.id, Indices: append([]int(nil), u.indices...), Stolen: u.stolen}
 		}
-	case st == nil || st.finished || req.Generation != st.gen:
-		resp.Stale = true
-	default:
-		c.expireLocked()
-		if len(st.pending) == 0 {
-			resp.Wait = true
-			break
-		}
-		id := st.pending[0]
-		st.pending = st.pending[1:]
-		u := st.units[id]
-		u.leased = true
-		u.worker = req.Worker
-		u.expires = c.now().Add(c.ttl)
-		c.leasesGranted++
-		c.hub.Counter("letgo_fabric_leases_granted_total").Inc()
-		resp.Unit = &LeaseUnit{ID: u.id, Indices: append([]int(nil), u.indices...), Stolen: u.stolen}
-	}
-	c.mu.Unlock()
+		return resp.Wait
+	})
 	writeJSON(w, resp)
 }
 
@@ -442,7 +548,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 			err := fmt.Errorf("fabric: conflicting records for %s index %d from writers %q and %q",
 				st.key, rec.Index, prev.Writer, rec.Writer)
-			st.finishLocked(err)
+			c.finishLocked(st, err)
 			c.hub.Counter("letgo_fabric_conflicts_total").Inc()
 			c.mu.Unlock()
 			writeJSON(w, CompleteResponse{Conflict: err.Error()})
@@ -477,12 +583,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		c.hub.Counter("letgo_fabric_units_completed_total").Inc()
 		if st.completed == len(st.units) {
-			st.finishLocked(nil)
+			c.finishLocked(st, nil)
 		}
 	case !covered && u.leased && u.worker == req.Worker:
 		u.leased = false
 		u.worker = ""
 		st.pending = append(st.pending, u.id)
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	// Persist outside the coordinator lock: the journal has its own.

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,9 +23,12 @@ import (
 )
 
 // fakeClock is a manually advanced time source safe for concurrent use.
+// Advance also wakes the coordinator's held requests, standing in for
+// the real timers that would have fired in the skipped interval.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu   sync.Mutex
+	t    time.Time
+	wake func()
 }
 
 func newFakeClock() *fakeClock {
@@ -41,6 +45,9 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Lock()
 	f.t = f.t.Add(d)
 	f.mu.Unlock()
+	if f.wake != nil {
+		f.wake()
+	}
 }
 
 // testKey is the campaign key every coordinator test uses.
@@ -62,7 +69,10 @@ func record(index int, class, writer string) resilience.Record {
 
 // harness spins up a coordinator over an in-memory journal with a fake
 // clock and a 1s TTL, publishes the test manifest (unit size 2 → units
-// {0,1}, {2,3}, {4,5}), and serves the protocol over httptest.
+// {0,1}, {2,3}, {4,5}), and serves the protocol over httptest. Its hold
+// cap is zero — every request is answered at once, as by a coordinator
+// that does not hold — so the protocol tests read each state directly;
+// the held-request tests use newHoldingHarness.
 type harness struct {
 	t        *testing.T
 	c        *Coordinator
@@ -75,14 +85,36 @@ type harness struct {
 
 func newHarness(t *testing.T, j *resilience.Journal) *harness {
 	t.Helper()
+	h := newIdleHarness(t, j, 0)
+	h.coordinate()
+	return h
+}
+
+// newIdleHarness is the harness before anything is published, holding
+// requests for up to hold on the fake clock.
+func newIdleHarness(t *testing.T, j *resilience.Journal, hold time.Duration) *harness {
+	t.Helper()
 	if j == nil {
 		j = resilience.New()
 	}
 	h := &harness{t: t, j: j, clock: newFakeClock(), coordErr: make(chan error, 1)}
 	h.c = NewCoordinator(j, Options{LeaseTTL: time.Second, UnitSize: 2})
 	h.c.now = h.clock.Now
+	h.c.hold = hold
+	h.clock.wake = func() {
+		h.c.mu.Lock()
+		h.c.wakeLocked()
+		h.c.mu.Unlock()
+	}
 	h.srv = httptest.NewServer(h.c.Handler())
 	t.Cleanup(h.srv.Close)
+	return h
+}
+
+// coordinate publishes the test manifest and waits until it is up.
+func (h *harness) coordinate() {
+	h.t.Helper()
+	t := h.t
 	ctx, cancel := context.WithCancel(context.Background())
 	h.cancel = cancel
 	t.Cleanup(cancel)
@@ -93,12 +125,12 @@ func newHarness(t *testing.T, j *resilience.Journal) *harness {
 		var camp CampaignResponse
 		h.get("/fabric/campaign?worker=probe", &camp)
 		if camp.Spec != nil {
-			return h
+			return
 		}
 		select {
 		case err := <-h.coordErr:
 			h.coordErr <- err
-			return h
+			return
 		default:
 		}
 		if i > 100 {
@@ -479,4 +511,315 @@ func TestAutoUnitSize(t *testing.T) {
 			t.Errorf("autoUnitSize(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}
+}
+
+// Held requests. These harnesses hold for the real holdCap, measured on
+// the fake clock, so a test that passes did not wait out any hold.
+
+// awaitHeld blocks until the coordinator has n requests of worker parked.
+func (h *harness) awaitHeld(worker string, n int) {
+	h.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		h.c.mu.Lock()
+		ws := h.c.workers[worker]
+		held := 0
+		if ws != nil {
+			held = ws.held
+		}
+		h.c.mu.Unlock()
+		if held == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("worker %q has %d held requests, want %d", worker, held, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// askAsync sends one request from its own goroutine and delivers the
+// decoded answer (the zero T if ctx ended the request first).
+func askAsync[T any](h *harness, ctx context.Context, method, path string, in any) <-chan T {
+	out := make(chan T, 1)
+	go func() {
+		var v T
+		if err := callJSON(ctx, method, h.srv.URL+path, in, &v); err != nil && ctx.Err() == nil {
+			h.t.Errorf("held %s %s: %v", method, path, err)
+		}
+		out <- v
+	}()
+	return out
+}
+
+func (h *harness) leaseAsync(ctx context.Context, worker string) <-chan LeaseResponse {
+	return askAsync[LeaseResponse](h, ctx, http.MethodPost, "/fabric/lease", LeaseRequest{Worker: worker, Generation: 1})
+}
+
+func (h *harness) campaignAsync(ctx context.Context, worker string) <-chan CampaignResponse {
+	return askAsync[CampaignResponse](h, ctx, http.MethodGet, "/fabric/campaign?worker="+worker, nil)
+}
+
+// callJSON is one coordinator request (in nil sends no body) that can be
+// abandoned through ctx and reports failure as an error, so it is usable
+// off the test goroutine.
+func callJSON(ctx context.Context, method, url string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s %s: %s", method, url, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// receive waits for a held request's answer, failing the test if it is
+// still held five real seconds later: every test below triggers the
+// wake itself.
+func receive[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still held", what)
+		panic("unreachable")
+	}
+}
+
+// leaseAllAndPark leases the harness's three units to w1..w3 and parks
+// w4's lease request behind them.
+func leaseAllAndPark(t *testing.T, h *harness) (first *LeaseUnit, parked <-chan LeaseResponse) {
+	t.Helper()
+	for i, w := range []string{"w1", "w2", "w3"} {
+		lr := h.lease(w)
+		if lr.Unit == nil {
+			t.Fatalf("lease %s: %+v", w, lr)
+		}
+		if i == 0 {
+			first = lr.Unit
+		}
+	}
+	parked = h.leaseAsync(context.Background(), "w4")
+	h.awaitHeld("w4", 1)
+	return first, parked
+}
+
+func newHoldingHarness(t *testing.T) *harness {
+	t.Helper()
+	h := newIdleHarness(t, nil, holdCap)
+	h.coordinate()
+	return h
+}
+
+func TestHoldCapBelowClientTimeout(t *testing.T) {
+	// A hold that outlasts the worker's client timeout turns every idle
+	// period into client-side timeouts, retries and backoff.
+	if holdCap >= clientTimeout {
+		t.Fatalf("holdCap %v must stay below the default client timeout %v", holdCap, clientTimeout)
+	}
+	if c := NewCoordinator(resilience.New(), Options{}); c.hold != holdCap {
+		t.Fatalf("coordinator holds for %v, want holdCap %v", c.hold, holdCap)
+	}
+}
+
+func TestHeldLeaseGrantedOnPartialShipment(t *testing.T) {
+	h := newHoldingHarness(t)
+	first, parked := leaseAllAndPark(t, h)
+	// w1 ships half its unit: the lease is released, and the held
+	// request — not a later poll — gets the unit.
+	cr := h.complete("w1", first.ID, []resilience.Record{record(first.Indices[0], "Benign", "w1")})
+	if !cr.OK {
+		t.Fatalf("partial complete: %+v", cr)
+	}
+	lr := receive(t, "lease after a partial shipment", parked)
+	if lr.Unit == nil || lr.Unit.ID != first.ID || lr.Unit.Stolen != 0 {
+		t.Fatalf("held lease answered %+v, want unit %d released by its owner", lr, first.ID)
+	}
+	h.awaitHeld("w4", 0)
+	h.cancel()
+}
+
+func TestHeldLeaseStealsAtExpiry(t *testing.T) {
+	h := newHoldingHarness(t)
+	_, parked := leaseAllAndPark(t, h)
+	// Exactly the TTL: a lease is over at its expiry, not after it.
+	h.clock.Advance(time.Second)
+	lr := receive(t, "lease at the TTL", parked)
+	if lr.Unit == nil || lr.Unit.Stolen != 1 {
+		t.Fatalf("held lease answered %+v, want a stolen unit", lr)
+	}
+	// One request from w4 did it: three grants before, one steal.
+	if st := h.c.Status(); st.LeasesGranted != 4 || st.LeasesExpired != 3 {
+		t.Errorf("granted %d expired %d, want 4 and 3", st.LeasesGranted, st.LeasesExpired)
+	}
+	h.cancel()
+}
+
+func TestHeldLeaseWakesOnCampaignEnd(t *testing.T) {
+	h := newHoldingHarness(t)
+	_, parked := leaseAllAndPark(t, h)
+	h.cancel() // Coordinate's ctx: the campaign aborts
+	if lr := receive(t, "lease at campaign abort", parked); !lr.Stale {
+		t.Fatalf("held lease answered %+v at campaign end, want stale", lr)
+	}
+}
+
+func TestHeldCampaignPublishFinishAndDrain(t *testing.T) {
+	h := newIdleHarness(t, nil, holdCap)
+	parked := h.campaignAsync(context.Background(), "w1")
+	h.awaitHeld("w1", 1)
+	h.coordinate()
+	camp := receive(t, "campaign poll at publish", parked)
+	if camp.Spec == nil || camp.Spec.Generation != 1 || camp.Done {
+		t.Fatalf("held campaign poll answered %+v, want generation 1", camp)
+	}
+
+	// Between campaigns again: Finish must not wait out the hold, and
+	// the drain must wait for the held worker to hear Done.
+	h.cancel()
+	if err := <-h.coordErr; err == nil {
+		t.Fatal("Coordinate survived its cancelled context")
+	}
+	parked = h.campaignAsync(context.Background(), "w1")
+	h.awaitHeld("w1", 1)
+	h.clock.Advance(10 * time.Second)
+	h.awaitHeld("w1", 1)
+	drained := make(chan struct{})
+	go func() {
+		// The probe worker of coordinate() never hears Done and was last
+		// seen 10 (fake) seconds ago: aged out. w1 is held: waited for.
+		h.c.AwaitDrain(5 * time.Second)
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("AwaitDrain returned with a worker still on hold and Finish not called")
+	case <-time.After(50 * time.Millisecond):
+	}
+	h.c.Finish()
+	if camp := receive(t, "campaign poll at Finish", parked); !camp.Done {
+		t.Fatalf("held campaign poll answered %+v at Finish, want done", camp)
+	}
+	receive(t, "AwaitDrain after the held worker heard Done", drained)
+}
+
+func TestHeldRequestReleasedWhenClientCancels(t *testing.T) {
+	h := newHoldingHarness(t)
+	for _, w := range []string{"w1", "w2", "w3"} {
+		h.lease(w)
+	}
+	h.cancel() // between campaigns: campaign polls are held too
+	<-h.coordErr
+	ctx, cancel := context.WithCancel(context.Background())
+	parkedCampaign := h.campaignAsync(ctx, "w4")
+	h.awaitHeld("w4", 1)
+	h2 := newHoldingHarness(t)
+	for _, w := range []string{"w1", "w2", "w3"} {
+		h2.lease(w)
+	}
+	parkedLease := h2.leaseAsync(ctx, "w4")
+	h2.awaitHeld("w4", 1)
+	cancel()
+	<-parkedCampaign
+	<-parkedLease
+	h.awaitHeld("w4", 0)
+	h2.awaitHeld("w4", 0)
+	if st := h2.c.Status(); st.LeasesGranted != 3 {
+		t.Errorf("a vanished client was leased a unit: %d grants, want 3", st.LeasesGranted)
+	}
+	h2.cancel()
+	// Close waits for outstanding handlers: it returns only because the
+	// cancelled request's handler is gone.
+	closed := make(chan struct{})
+	go func() {
+		h.srv.Close()
+		close(closed)
+	}()
+	receive(t, "httptest.Server.Close", closed)
+}
+
+func TestHoldCapExpiryAnswersAsWithoutHold(t *testing.T) {
+	rawBody := func(resp *http.Response, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.Status + " " + resp.Header.Get("Content-Type") + " " + buf.String()
+	}
+	leaseBody := func(h *harness) string {
+		b, _ := json.Marshal(LeaseRequest{Worker: "w4", Generation: 1})
+		return rawBody(http.Post(h.srv.URL+"/fabric/lease", "application/json", bytes.NewReader(b)))
+	}
+	campaignBody := func(h *harness) string {
+		return rawBody(http.Get(h.srv.URL + "/fabric/campaign?worker=w4"))
+	}
+	const hold = 300 * time.Millisecond // below the 1s TTL: no lease expires meanwhile
+
+	// Lease, everything leased elsewhere.
+	plain := newHarness(t, nil)
+	held := newIdleHarness(t, nil, hold)
+	held.coordinate()
+	for _, h := range []*harness{plain, held} {
+		for _, w := range []string{"w1", "w2", "w3"} {
+			h.lease(w)
+		}
+	}
+	want := leaseBody(plain)
+	got := make(chan string, 1)
+	go func() { got <- leaseBody(held) }()
+	held.awaitHeld("w4", 1)
+	held.clock.Advance(hold)
+	if g := receive(t, "lease at the hold cap", got); g != want || !strings.HasSuffix(g, "{\"wait\":true}\n") {
+		t.Errorf("lease at the cap answered %q, a coordinator that does not hold %q", g, want)
+	}
+	plain.cancel()
+	held.cancel()
+
+	// Campaign poll, nothing published.
+	plain = newIdleHarness(t, nil, 0)
+	held = newIdleHarness(t, nil, hold)
+	want = campaignBody(plain)
+	go func() { got <- campaignBody(held) }()
+	held.awaitHeld("w4", 1)
+	held.clock.Advance(hold)
+	if g := receive(t, "campaign poll at the hold cap", got); g != want || !strings.HasSuffix(g, "{}\n") {
+		t.Errorf("campaign poll at the cap answered %q, a coordinator that does not hold %q", g, want)
+	}
+}
+
+func TestHeldFiftyWakeOnOnePublish(t *testing.T) {
+	h := newIdleHarness(t, nil, holdCap)
+	const holders = 50
+	var parked []<-chan CampaignResponse
+	for i := 0; i < holders; i++ {
+		w := fmt.Sprintf("h%d", i)
+		parked = append(parked, h.campaignAsync(context.Background(), w))
+	}
+	for i := 0; i < holders; i++ {
+		h.awaitHeld(fmt.Sprintf("h%d", i), 1)
+	}
+	h.coordinate()
+	for i, ch := range parked {
+		if camp := receive(t, fmt.Sprintf("holder %d", i), ch); camp.Spec == nil {
+			t.Errorf("holder %d woke to %+v, want the published spec", i, camp)
+		}
+	}
+	h.cancel()
 }

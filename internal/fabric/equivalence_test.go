@@ -194,3 +194,80 @@ func TestCoordinatedKillAndStealEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldThiefLeasesAtTTL is the real-clock proof that stealing no
+// longer costs a poll interval: a worker whose PollInterval is 10 s asks
+// for a lease while the only unit left is held by a worker that leased
+// it and vanished, and is granted that unit when the 200 ms TTL runs
+// out — by the request it already had outstanding.
+func TestHeldThiefLeasesAtTTL(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	app := apps.All()[0]
+	campaign := &inject.Campaign{App: app, Mode: inject.LetGoE, N: 6, Seed: 4321}
+	plan, err := campaign.PlanContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdr := NewCoordinator(resilience.New(), Options{LeaseTTL: ttl, UnitSize: 3})
+	handler := cdr.Handler()
+	// The server notes when each lease request was answered: the thief's
+	// first unit, the crasher's, then the thief's steal.
+	var mu sync.Mutex
+	var leaseAnswered []time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+		if r.URL.Path == "/fabric/lease" {
+			mu.Lock()
+			leaseAnswered = append(leaseAnswered, time.Now())
+			mu.Unlock()
+		}
+	}))
+	defer srv.Close()
+
+	// Well under PollInterval: a thief that slept once cannot finish.
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
+	defer cancel()
+	coordDone := make(chan error, 1)
+	go func() { coordDone <- cdr.Coordinate(ctx, plan.Manifest()) }()
+
+	// The thief executes unit 0; before it ships, the other unit is
+	// leased by a worker that never speaks again. The thief's next lease
+	// request therefore finds nothing pending.
+	thief := &Worker{Base: srv.URL, Name: "thief", Workers: 2, PollInterval: 10 * time.Second,
+		sleepBeforeShip: func(unitID int) {
+			if unitID != 0 {
+				return
+			}
+			var lr LeaseResponse
+			err := callJSON(ctx, http.MethodPost, srv.URL+"/fabric/lease", LeaseRequest{Worker: "crashed", Generation: 1}, &lr)
+			if err != nil || lr.Unit == nil || lr.Unit.ID != 1 {
+				t.Errorf("crashing worker's lease: %+v, %v", lr, err)
+			}
+		}}
+	thiefDone := make(chan error, 1)
+	go func() { thiefDone <- thief.Run(ctx) }()
+
+	if err := <-coordDone; err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	cdr.Finish()
+	if err := <-thiefDone; err != nil {
+		t.Fatalf("thief: %v", err)
+	}
+	st := cdr.Status()
+	if st.LeasesGranted != 3 || st.LeasesExpired != 1 {
+		t.Fatalf("granted %d expired %d, want 3 and 1", st.LeasesGranted, st.LeasesExpired)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leaseAnswered) < 3 {
+		t.Fatalf("%d lease requests answered, want at least 3", len(leaseAnswered))
+	}
+	// leaseAnswered[1] is just after the crasher's lease began, so the
+	// steal lands a little under the TTL after it.
+	waited := leaseAnswered[2].Sub(leaseAnswered[1])
+	t.Logf("steal granted %v after the dead worker's lease (TTL %v)", waited, ttl)
+	if waited < ttl/2 || waited > ttl+50*time.Millisecond {
+		t.Errorf("thief was granted the dead worker's unit %v after it was leased, want the %v TTL (+50ms at most)", waited, ttl)
+	}
+}

@@ -11,7 +11,10 @@
 //   - Work units are *leased* with a TTL, not assigned. A worker renews
 //     its lease by heartbeat; a lease that expires (crashed or stalled
 //     worker) goes back on the queue and is re-dispatched to whoever
-//     asks next — work stealing from stragglers.
+//     asks next or is already waiting — work stealing from stragglers.
+//   - Nobody polls on a timer: a campaign or lease request the
+//     coordinator cannot answer yet is held until it can (docs/FABRIC.md
+//     "Held requests").
 //   - Completed units ship their journal records to the coordinator over
 //     HTTP, so no shared filesystem is needed. The coordinator persists
 //     them through the crash-safe resilience journal, which doubles as
@@ -43,8 +46,10 @@ const (
 	// DefaultLeaseTTL is how long a leased unit may go without a
 	// heartbeat before the coordinator re-dispatches it.
 	DefaultLeaseTTL = 10 * time.Second
-	// DefaultPollInterval is the worker's idle poll cadence while the
-	// coordinator has no campaign published or no unit free.
+	// DefaultPollInterval is the worker's floor spacing between idle
+	// requests (see Worker.PollInterval). The coordinator holds a request
+	// until it has an answer, so this is paid only against a coordinator
+	// that answers "nothing yet" at once.
 	DefaultPollInterval = 500 * time.Millisecond
 )
 
@@ -75,8 +80,9 @@ type CampaignSpec struct {
 
 // CampaignResponse answers GET /fabric/campaign.
 type CampaignResponse struct {
-	// Spec is the published campaign, nil while the coordinator is
-	// between campaigns (workers back off and poll again).
+	// Spec is the published campaign. The coordinator holds the request
+	// while it is between campaigns and answers nil only when its hold
+	// cap passes first (workers ask again).
 	Spec *CampaignSpec `json:"spec,omitempty"`
 	// Done means the whole invocation is over: workers should exit.
 	Done bool `json:"done,omitempty"`
@@ -102,9 +108,10 @@ type LeaseUnit struct {
 // Stale or Done describes the outcome.
 type LeaseResponse struct {
 	Unit *LeaseUnit `json:"unit,omitempty"`
-	// Wait: every pending unit is currently leased; retry after a
-	// backoff (a lease may expire in the meantime — that retry is what
-	// turns a straggler's unit into stolen work).
+	// Wait: every pending unit is currently leased, and stayed leased
+	// for as long as the coordinator held the request (a lease that
+	// expires or is released meanwhile is granted to the held request —
+	// that is what turns a straggler's unit into stolen work). Ask again.
 	Wait bool `json:"wait,omitempty"`
 	// Stale: the request's generation is no longer the published
 	// campaign (finished, aborted, or superseded) — re-fetch

@@ -40,10 +40,16 @@ type Worker struct {
 	// metrics.
 	Hub *obs.Hub
 
-	// Client overrides the HTTP client (nil uses a 30s-timeout client).
+	// Client overrides the HTTP client (nil uses one with a 30s timeout,
+	// built once per Run).
 	Client *http.Client
-	// PollInterval is the idle wait between campaign/lease polls
-	// (0 selects DefaultPollInterval).
+	// PollInterval is the floor spacing between idle campaign/lease
+	// requests (0 selects DefaultPollInterval). The coordinator holds a
+	// request it cannot answer yet, so an idle answer (no campaign
+	// published, no unit free) normally arrives late and the next
+	// request follows at once; only an idle answer that came back sooner
+	// than PollInterval — a coordinator that does not hold — is followed
+	// by a sleep for the remainder. It is not the latency of anything.
 	PollInterval time.Duration
 	// HeartbeatEvery overrides the lease renewal cadence (0 derives
 	// LeaseTTL/3 from the campaign spec). Tests set it absurdly large to
@@ -60,7 +66,15 @@ type Worker struct {
 	// before its records ship — the hook tests use to fake a straggler
 	// that computes results but ships them after its lease expired.
 	sleepBeforeShip func(unitID int)
+
+	// httpc is the client every call of one Run uses.
+	httpc *http.Client
 }
+
+// clientTimeout is the default client's whole-request timeout. It must
+// stay above the coordinator's holdCap: a held request is answered at
+// the cap at the latest, and has to still be listening then.
+const clientTimeout = 30 * time.Second
 
 // errProtocol marks a 4xx coordinator answer: the request itself is
 // wrong, so retrying it verbatim cannot help.
@@ -77,8 +91,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("fabric: worker needs a coordinator URL and a name")
 	}
 	w.registerMetrics()
+	w.httpc = w.Client
+	if w.httpc == nil {
+		w.httpc = &http.Client{Timeout: clientTimeout}
+	}
 	for {
 		var camp CampaignResponse
+		asked := time.Now()
 		if err := w.call(ctx, http.MethodGet, "/fabric/campaign?worker="+w.Name, nil, &camp, 0); err != nil {
 			return err
 		}
@@ -86,7 +105,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case camp.Done:
 			return nil
 		case camp.Spec == nil:
-			if !sleep(ctx, w.pollInterval()) {
+			if !w.idle(ctx, asked) {
 				return ctx.Err()
 			}
 		default:
@@ -123,6 +142,7 @@ func (w *Worker) serveCampaign(ctx context.Context, spec *CampaignSpec) (bool, e
 	}
 	for {
 		var lr LeaseResponse
+		asked := time.Now()
 		err := w.call(ctx, http.MethodPost, "/fabric/lease",
 			LeaseRequest{Worker: w.Name, Generation: spec.Generation}, &lr, 0)
 		if err != nil {
@@ -141,9 +161,9 @@ func (w *Worker) serveCampaign(ctx context.Context, spec *CampaignSpec) (bool, e
 				return false, ctx.Err()
 			}
 		default:
-			// Everything pending is leased elsewhere; a straggler's
-			// lease may expire by the next poll.
-			if !sleep(ctx, w.pollInterval()) {
+			// Everything pending is leased elsewhere, and stayed so for
+			// as long as the coordinator held the request.
+			if !w.idle(ctx, asked) {
 				return false, ctx.Err()
 			}
 		}
@@ -274,18 +294,16 @@ func recordsInOrder(j *resilience.Journal) []resilience.Record {
 	return records
 }
 
-func (w *Worker) pollInterval() time.Duration {
-	if w.PollInterval > 0 {
-		return w.PollInterval
+// idle spaces idle requests at least PollInterval apart: after an idle
+// answer to a request made at asked, it sleeps out whatever is left of
+// the interval, which is nothing when the coordinator held the request
+// that long. It reports false when ctx ended first.
+func (w *Worker) idle(ctx context.Context, asked time.Time) bool {
+	poll := w.PollInterval
+	if poll <= 0 {
+		poll = DefaultPollInterval
 	}
-	return DefaultPollInterval
-}
-
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return sleep(ctx, poll-time.Since(asked))
 }
 
 // call performs one coordinator request with retries: exponential
@@ -339,7 +357,7 @@ func (w *Worker) once(ctx context.Context, method, path string, in, out any) err
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := w.client().Do(req)
+	resp, err := w.httpc.Do(req)
 	if err != nil {
 		return err
 	}

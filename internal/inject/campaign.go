@@ -160,7 +160,7 @@ type Campaign struct {
 	ShardSpec ShardSpec
 
 	// Journal, when non-nil, persists every classified injection
-	// (chunked, atomic write-temp-rename) and seeds the run with
+	// (chunked, appended and fsynced) and seeds the run with
 	// previously completed work: injections already journaled under this
 	// campaign's key are restored instead of re-executed. Because plans
 	// are seed-derived and classification is engine- and scheduling-

@@ -24,6 +24,10 @@ func FuzzJournalMerge(f *testing.F) {
 	f.Add([]byte(valid), []byte(other))
 	// Torn tail: the second file ends mid-record, as after a kill.
 	f.Add([]byte(valid), []byte(other[:len(other)-25]))
+	// Appended then torn: a rewritten prefix, one appended chunk, and a
+	// second append cut mid-line by a kill — what Flush's append path
+	// can leave behind.
+	f.Add([]byte(valid+other[:len(other)-40]), []byte(other))
 	// Unknown fields from a future binary must be tolerated, not fatal.
 	f.Add([]byte(`{"app":"A","mode":"m","n":1,"seed":1,"model":"x","index":0,"class":"Benign","future_field":{"nested":true}}`+"\n"), []byte(valid))
 	// Colliding writers (identical and conflicting payloads).

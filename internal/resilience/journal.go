@@ -15,6 +15,7 @@ package resilience
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,7 +28,7 @@ import (
 )
 
 // DefaultFlushEvery is the journal's default chunk size: completed
-// injections are buffered and persisted (atomic write-temp-rename) every
+// injections are buffered and persisted (appended and fsynced) every
 // time this many new records accumulate, and always on Flush.
 const DefaultFlushEvery = 64
 
@@ -78,15 +79,32 @@ type Record struct {
 
 // Journal is a crash-safe log of completed injections. It is safe for
 // concurrent use by campaign workers. Records are held in memory and
-// persisted in chunks; every persist rewrites the whole file through an
-// atomic temp-file rename, so the on-disk journal is always a valid
-// prefix of the log — never a torn line.
+// persisted in chunks. A persist appends the JSONL lines of the records
+// added since the last one and fsyncs, so its cost follows the chunk,
+// not the journal. The whole file is rewritten through an atomic
+// temp-file rename only where appending would be wrong: the first
+// persist after Create or Open (whatever is on disk is unknown, possibly
+// torn), after a record already on disk was replaced by a different one
+// (latest record wins), and after a failed append.
+//
+// On disk: every record covered by a persist that returned nil is
+// fsynced, and the file is a valid prefix of the log plus at most one
+// torn final line — left by a kill mid-append, dropped by Open and
+// rewritten away before anything is appended behind it.
 type Journal struct {
 	mu    sync.Mutex
 	path  string
 	recs  []Record
 	index map[Key]map[int]int // key -> injection index -> recs position
-	dirty int                 // records appended since the last flush
+	// recs[:persisted] are on disk, in order, one whole line each (the
+	// rest are the records added since the last persist); rewrite says
+	// that is no longer (or not known to be) true of the file, so the
+	// next persist must replace it instead of appending.
+	persisted int
+	rewrite   bool
+	// openAppend opens the file for appending (nil = openForAppend);
+	// tests substitute short writes and failing syncs.
+	openAppend func(path string) (appendFile, error)
 
 	// FlushEvery overrides the persistence chunk size (default
 	// DefaultFlushEvery). Set it before the first Append.
@@ -112,7 +130,7 @@ func New() *Journal {
 // writable: a probe write runs eagerly so -journal path errors surface
 // before a long campaign starts.
 func Create(path string) (*Journal, error) {
-	j := &Journal{path: path, index: map[Key]map[int]int{}}
+	j := &Journal{path: path, index: map[Key]map[int]int{}, rewrite: true}
 	if err := j.Flush(); err != nil {
 		return nil, fmt.Errorf("resilience: journal %s not writable: %w", path, err)
 	}
@@ -120,11 +138,12 @@ func Create(path string) (*Journal, error) {
 }
 
 // Open loads the journal at path for resuming. A missing file yields an
-// empty journal; a trailing torn or corrupt line (possible only if the
-// journal was produced by something other than this package's atomic
-// writer) is tolerated and dropped with its successors.
+// empty journal; a trailing torn or corrupt line (a writer killed
+// mid-append, or a foreign producer) is tolerated and dropped with its
+// successors. The first persist after Open rewrites the file, so new
+// records never land behind a torn tail.
 func Open(path string) (*Journal, error) {
-	j := &Journal{path: path, index: map[Key]map[int]int{}}
+	j := &Journal{path: path, index: map[Key]map[int]int{}, rewrite: true}
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return j, nil
@@ -150,12 +169,13 @@ func Open(path string) (*Journal, error) {
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return nil, fmt.Errorf("resilience: reading %s: %w", path, err)
 	}
-	j.dirty = 0
+	j.persisted = len(j.recs)
 	return j, nil
 }
 
 // add appends r to the in-memory log, replacing any earlier record for
-// the same (key, index) — the latest observation wins.
+// the same (key, index) — the latest observation wins. Replacing a line
+// already on disk with a different one cannot be done by appending.
 func (j *Journal) add(r Record) {
 	byIdx := j.index[r.Key]
 	if byIdx == nil {
@@ -163,12 +183,14 @@ func (j *Journal) add(r Record) {
 		j.index[r.Key] = byIdx
 	}
 	if pos, ok := byIdx[r.Index]; ok {
+		if pos < j.persisted && j.recs[pos] != r {
+			j.rewrite = true
+		}
 		j.recs[pos] = r
 		return
 	}
 	byIdx[r.Index] = len(j.recs)
 	j.recs = append(j.recs, r)
-	j.dirty++
 }
 
 // Append records one completed injection, persisting the journal when a
@@ -187,7 +209,7 @@ func (j *Journal) Append(r Record) error {
 	if every <= 0 {
 		every = DefaultFlushEvery
 	}
-	if j.dirty >= every {
+	if len(j.recs)-j.persisted >= every {
 		return j.flushLocked()
 	}
 	return nil
@@ -276,10 +298,13 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// Flush persists the full journal with an atomic write-temp-rename. It
-// is safe to call at any point, including after errors and interrupts.
-// A pathless journal (the in-memory result of MergeFiles) flushes as a
-// no-op: it is a read-side artifact with nowhere to persist.
+// Flush persists every record not yet on disk and returns once they are
+// fsynced: an append of the new lines, or a whole-file atomic rewrite in
+// the cases the Journal comment lists. It is safe to call at any point,
+// including after errors and interrupts; a failed Flush keeps every
+// record in memory and the next one rewrites. A pathless journal (the
+// in-memory result of MergeFiles) flushes as a no-op: it is a read-side
+// artifact with nowhere to persist.
 func (j *Journal) Flush() error {
 	if j == nil {
 		return nil
@@ -293,19 +318,79 @@ func (j *Journal) flushLocked() error {
 	if j.path == "" {
 		return nil
 	}
-	err := atomicio.WriteFile(j.path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		enc := json.NewEncoder(bw)
-		for _, r := range j.recs {
-			if err := enc.Encode(r); err != nil {
+	var err error
+	if j.rewrite {
+		err = atomicio.WriteFile(j.path, func(w io.Writer) error {
+			bw := bufio.NewWriter(w)
+			if err := encodeRecords(bw, j.recs); err != nil {
 				return err
 			}
-		}
-		return bw.Flush()
-	})
+			return bw.Flush()
+		})
+	} else if j.persisted < len(j.recs) {
+		err = j.appendLocked(j.recs[j.persisted:])
+	}
+	// A failed append may have left a torn line behind; only a rewrite
+	// restores a file that is known to hold recs[:persisted].
+	j.rewrite = err != nil
 	if err != nil {
 		return err
 	}
-	j.dirty = 0
+	j.persisted = len(j.recs)
+	return nil
+}
+
+// appendFile is what appendLocked needs of the open journal file.
+type appendFile interface {
+	io.WriteCloser
+	Sync() error
+}
+
+// openForAppend opens an existing journal file for appending. It never
+// creates one: a file that vanished took recs[:persisted] with it, and
+// the error sends the next persist down the rewrite path.
+func openForAppend(path string) (appendFile, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+}
+
+// appendLocked adds recs to the end of the file as one write and one
+// fsync.
+func (j *Journal) appendLocked(recs []Record) error {
+	var buf bytes.Buffer
+	if err := encodeRecords(&buf, recs); err != nil {
+		return err
+	}
+	open := j.openAppend
+	if open == nil {
+		open = openForAppend
+	}
+	f, err := open(j.path)
+	if err != nil {
+		return fmt.Errorf("resilience: %w", err)
+	}
+	n, err := f.Write(buf.Bytes())
+	if err == nil && n < buf.Len() {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("resilience: appending to %s: %w", j.path, err)
+	}
+	return nil
+}
+
+// encodeRecords writes recs as JSONL, the journal's only line format.
+func encodeRecords(w io.Writer, recs []Record) error {
+	enc := json.NewEncoder(w)
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -95,7 +95,6 @@ func MergeFiles(paths []string) (*Journal, []Collision, error) {
 			merged.add(r)
 		}
 	}
-	merged.dirty = 0
 
 	var collisions []Collision
 	for key, byIdx := range claims {
