@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/lang"
 )
 
@@ -74,6 +76,29 @@ func TestBreakpointAndStep(t *testing.T) {
 	got = run(t, s, out, "step 3", "info break")
 	if !strings.Contains(got, "pc=0x") || !strings.Contains(got, "hits=1") {
 		t.Fatalf("output: %s", got)
+	}
+}
+
+// TestContinueFromLoopBodyBreakpoint drives step-over-on-resume at the
+// prompt: a breakpoint on the loop's store stops at every iteration, the
+// continue that resumes from it stepping over only the hit it sits on.
+func TestContinueFromLoopBodyBreakpoint(t *testing.T) {
+	s, out := newTestSession(t)
+	var store uint64
+	for i, in := range s.prog.Instrs {
+		if in.Op == isa.FST {
+			store = isa.CodeBase + uint64(i)*isa.InstrBytes // g[i] = ...
+			break
+		}
+	}
+	got := run(t, s, out, fmt.Sprintf("break 0x%x", store), "run", "continue", "continue")
+	for hit := 1; hit <= 3; hit++ {
+		if !strings.Contains(got, fmt.Sprintf("(hit %d)", hit)) {
+			t.Fatalf("no stop at hit %d:\n%s", hit, got)
+		}
+	}
+	if g1, err := s.m.ReadGlobalFloat("g", 8); err != nil || g1 != 1.5 {
+		t.Errorf("g[1] = %v, %v at the third hit; want 1.5 (two iterations done)", g1, err)
 	}
 }
 

@@ -321,7 +321,7 @@ func TestFrameSizesRecoverable(t *testing.T) {
 			if s.Kind != 0 /* SymFunc */ || s.Name == "_start" {
 				continue
 			}
-			if _, ok := an.FrameSize(s.Addr); !ok {
+			if _, ok := an.Static().PrologueFrame(s.Addr); !ok {
 				t.Errorf("%s: no frame size for %s", a.Name, s.Name)
 			}
 		}

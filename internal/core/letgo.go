@@ -393,7 +393,7 @@ func (r *Runner) heuristicII(in isa.Instruction, ev *Event) {
 	// The legitimate bp-sp gap at this PC: the exact per-PC stack-depth
 	// bound when the dataflow reaches the instruction, else the prologue
 	// frame size, else the named analysis.FallbackFrameBytes constant.
-	frame, src := r.An.FrameBoundAt(r.Dbg.PC())
+	frame, src := r.An.Static().FrameBoundAt(r.Dbg.PC())
 	r.Opts.Obs.Counter("letgo_h2_frame_bound_total", "source", src.String()).Inc()
 	bound := frame + r.Opts.frameSlack()
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/asm"
+	"github.com/letgo-hpc/letgo/internal/debug"
 	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/pin"
@@ -449,8 +450,9 @@ func TestHeuristicIIRespectsFrameSlack(t *testing.T) {
 }
 
 func TestHeuristicIIWithoutPrologueUsesFallbackBound(t *testing.T) {
-	// A function without the Listing-1 prologue: FrameSize is unknown and
-	// Heuristic II falls back to a generous bound; wild sp still repaired.
+	// A function without the Listing-1 prologue: the prologue frame is
+	// unknown and Heuristic II falls back to a generous bound; wild sp
+	// still repaired.
 	src := `
 	main:
 	    li x1, 0x77700000000
@@ -535,5 +537,81 @@ func TestRunnerObsGiveUp(t *testing.T) {
 	}
 	if got := hub.Reg.Counter("letgo_signals_intercepted_total", "signal", "SIGSEGV").Value(); got != 2 {
 		t.Errorf("intercepted = %d, want 2", got)
+	}
+}
+
+// TestSuperviseBreakpointStepOverAcrossRepair pins step-over-on-resume
+// through the runner's own resume path (debug.Supervise with intercept as
+// the supervisor): a breakpoint in a loop body whose second iteration
+// crashes and is repaired stops at hits 1, 2, 3, 4 — the repair falling
+// between hits 2 and 3 — exactly where a dense per-instruction hook
+// asking the same question stops.
+func TestSuperviseBreakpointStepOverAcrossRepair(t *testing.T) {
+	const src = `
+	.double out 1.5
+	main:
+	    li x1, 0
+	    li x2, 6
+	    li x4, out
+	.loop:
+	    bge x1, x2, .done
+	    addi x1, x1, 1           ; breakpoint
+	    li x5, 2
+	    bne x1, x5, .ok
+	    li x4, 0x123450000000    ; iteration 2 loads through a wild pointer
+	.ok:
+	    fld f1, [x4]
+	    li x4, out
+	    jmp .loop
+	.done:
+	    halt
+`
+	const budget = 1 << 16
+	addi := isa.CodeBase + 4*isa.InstrBytes
+
+	r := attach(t, src, Options{Mode: ModeEnhanced})
+	bp, err := r.Dbg.SetBreakpoint(addi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: the same runner logic under one dense Before hook.
+	ref := attach(t, src, Options{Mode: ModeEnhanced})
+	var refHits uint64
+	resumed := false
+	refContinue := func() vm.StopReason {
+		first := true
+		return vm.Drive(ref.Dbg.M, budget, vm.Hooks{
+			Before: func(m *vm.Machine) bool {
+				if m.PC == addi && !(first && resumed) {
+					refHits++
+					resumed = true
+					return true
+				}
+				first = false
+				return false
+			},
+			Trap: func(_ *vm.Machine, t *vm.Trap) bool { return ref.intercept(t) },
+		}).Reason
+	}
+
+	r.Dbg.ResetResume()
+	for n := uint64(1); n <= 4; n++ {
+		stop := r.Dbg.Supervise(budget, r.intercept)
+		if got := refContinue(); got != vm.StopBefore || stop.Reason != debug.StopBreakpoint {
+			t.Fatalf("stop %d: supervise %v, reference %v", n, stop.Reason, got)
+		}
+		m, rm := r.Dbg.M, ref.Dbg.M
+		if bp.Hits != n || refHits != n || m.PC != rm.PC || m.Retired != rm.Retired || !m.SameState(rm) {
+			t.Fatalf("stop %d: hits %d at pc=%#x retired=%d, reference hits %d at pc=%#x retired=%d",
+				n, bp.Hits, m.PC, m.Retired, refHits, rm.PC, rm.Retired)
+		}
+		wantRepairs := 0
+		if n >= 3 {
+			wantRepairs = 1
+		}
+		if len(r.Events()) != wantRepairs || len(ref.Events()) != wantRepairs {
+			t.Fatalf("stop %d: %d repairs (reference %d), want %d", n, len(r.Events()), len(ref.Events()), wantRepairs)
+		}
 	}
 }

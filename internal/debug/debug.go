@@ -185,20 +185,22 @@ func (d *Debugger) signalStop(trap *vm.Trap) *Stop {
 // Continue resumes execution until a stop event or until the machine has
 // retired maxInstrs instructions in total.
 //
-// With no breakpoints installed, the debuggee runs on vm.Drive's bare
-// predecoded dispatch loop and the debugger only sees trap events —
-// matching gdb, which adds no per-instruction work to a program it merely
-// supervises (the paper's Section-6.2 "<1% overhead" measurement).
+// The debuggee runs on vm.Drive's bare predecoded dispatch loop and the
+// debugger only sees trap events and arrivals at a breakpoint — matching
+// gdb, which adds no per-instruction work to a program it merely
+// supervises (the paper's Section-6.2 "<1% overhead" measurement) and
+// plants its breakpoints in the instruction stream.
 func (d *Debugger) Continue(maxInstrs uint64) *Stop {
 	return d.continueWith(maxInstrs, nil)
 }
 
 // continueWith is the one resume path behind Continue, Run and Supervise:
-// it configures vm.Drive with the debugger's breakpoint logic as a Before
-// hook (only when breakpoints exist — otherwise the bare loop runs) and
-// the disposition table as the Trap hook. sup, when non-nil, is consulted
-// on signals with Stop disposition; returning true resumes the debuggee
-// in place (LetGo's repair loop), false stops as usual.
+// it configures vm.Drive with the debugger's breakpoint logic as a sparse
+// Before hook watching the breakpoint addresses (only when breakpoints
+// exist — either way the debuggee runs on the bare loop) and the
+// disposition table as the Trap hook. sup, when non-nil, is consulted on
+// signals with Stop disposition; returning true resumes the debuggee in
+// place (LetGo's repair loop), false stops as usual.
 func (d *Debugger) continueWith(maxInstrs uint64, sup func(*vm.Trap) bool) *Stop {
 	var hooks vm.Hooks
 	var stopped *Stop
@@ -215,25 +217,30 @@ func (d *Debugger) continueWith(maxInstrs uint64, sup func(*vm.Trap) bool) *Stop
 	if len(d.breakpoints) == 0 {
 		d.hasResume = false
 	} else {
-		// Breakpoint check happens before executing the instruction at PC,
-		// except immediately after resuming from that same breakpoint (gdb
-		// steps over the breakpoint on resume).
-		first := true
+		hooks.BeforeAt = make([]int, 0, len(d.breakpoints))
+		for addr := range d.breakpoints {
+			hooks.BeforeAt = append(hooks.BeforeAt, int((addr-isa.CodeBase)/isa.InstrBytes))
+		}
+		// The hook is entered only on arrival at a breakpoint, so "the first
+		// instruction executed" is decided here, not by the first call: the
+		// debuggee still sitting on the breakpoint it stopped at steps over
+		// it (as gdb does on resume), and that arrival is the first call.
+		stepOver := d.hasResume && d.resumeFrom == d.M.PC
 		hooks.Before = func(m *vm.Machine) bool {
-			if bp, ok := d.breakpoints[m.PC]; ok && bp.Enabled {
-				skip := first && d.hasResume && d.resumeFrom == m.PC
-				if !skip {
-					bp.Hits++
-					if bp.Hits > bp.Ignore {
-						d.resumeFrom = m.PC
-						d.hasResume = true
-						stopped = &Stop{Reason: StopBreakpoint, BP: bp}
-						return true
-					}
-				}
+			skip := stepOver && m.PC == d.resumeFrom
+			stepOver = false
+			bp := d.breakpoints[m.PC]
+			if bp == nil || !bp.Enabled || skip {
+				return false
 			}
-			first = false
-			return false
+			bp.Hits++
+			if bp.Hits <= bp.Ignore {
+				return false
+			}
+			d.resumeFrom = m.PC
+			d.hasResume = true
+			stopped = &Stop{Reason: StopBreakpoint, BP: bp}
+			return true
 		}
 	}
 

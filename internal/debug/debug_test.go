@@ -326,3 +326,149 @@ func TestContinueOnHaltedMachineIsHalt(t *testing.T) {
 		t.Fatalf("Continue after halt = %+v, want StopHalt", stop)
 	}
 }
+
+// denseRef is the breakpoint logic as it ran before breakpoints were
+// planted in the instruction stream: one dense Before hook asking at
+// every instruction, "first" meaning the first instruction executed. The
+// debugger's sparse hook is pinned against it stop by stop.
+type denseRef struct {
+	m           *vm.Machine
+	breakpoints map[uint64]*Breakpoint
+	resumeFrom  uint64
+	hasResume   bool
+}
+
+func newDenseRef(m *vm.Machine, bps ...Breakpoint) *denseRef {
+	r := &denseRef{m: m, breakpoints: map[uint64]*Breakpoint{}}
+	for _, bp := range bps {
+		bp := bp
+		r.breakpoints[bp.Addr] = &bp
+	}
+	return r
+}
+
+// cont resumes the reference machine and returns the breakpoint it
+// stopped at, or nil for any other stop.
+func (r *denseRef) cont(budget uint64) (hit *Breakpoint) {
+	first := true
+	vm.Drive(r.m, budget, vm.Hooks{Before: func(m *vm.Machine) bool {
+		if bp, ok := r.breakpoints[m.PC]; ok && bp.Enabled {
+			if !(first && r.hasResume && r.resumeFrom == m.PC) {
+				bp.Hits++
+				if bp.Hits > bp.Ignore {
+					r.resumeFrom, r.hasResume = m.PC, true
+					hit = bp
+					return true
+				}
+			}
+		}
+		first = false
+		return false
+	}})
+	return hit
+}
+
+const stepOverSrc = `
+	main:
+	    li x1, 0
+	    li x2, 8
+	.loop:
+	    bge x1, x2, .done
+	    addi x1, x1, 1
+	    jmp .loop
+	.done:
+	    halt
+`
+
+// sameStop requires the debugger and the dense reference to have stopped
+// at the same breakpoint hit, on machines in the same place.
+func sameStop(t *testing.T, label string, d *Debugger, stop *Stop, ref *denseRef, want *Breakpoint) {
+	t.Helper()
+	if (stop.Reason == StopBreakpoint) != (want != nil) {
+		t.Fatalf("%s: stop = %v, reference breakpoint = %v", label, stop.Reason, want)
+	}
+	if want != nil && (stop.BP.Addr != want.Addr || stop.BP.Hits != want.Hits) {
+		t.Fatalf("%s: stopped at %#x hit %d, reference at %#x hit %d",
+			label, stop.BP.Addr, stop.BP.Hits, want.Addr, want.Hits)
+	}
+	if d.M.PC != ref.m.PC || d.M.Retired != ref.m.Retired || d.M.X != ref.m.X {
+		t.Fatalf("%s: machine at pc=%#x retired=%d x1=%d, reference pc=%#x retired=%d x1=%d", label,
+			d.M.PC, d.M.Retired, d.M.X[isa.X1], ref.m.PC, ref.m.Retired, ref.m.X[isa.X1])
+	}
+}
+
+// TestBreakpointStepOverInLoopBody pins step-over-on-resume under the
+// sparse hook: the hook is entered only on arrival at a breakpoint, so
+// resuming from a loop-body breakpoint must step over exactly the arrival
+// it is sitting on and stop at the very next one — hits 1, 2, 3, 4 (and
+// 3, 4, 5, 6 with an ignore count of 2), never every other one.
+func TestBreakpointStepOverInLoopBody(t *testing.T) {
+	const budget = 1 << 16
+	addi := isa.CodeBase + 3*isa.InstrBytes
+	for _, ignore := range []uint64{0, 2} {
+		d := New(machine(t, stepOverSrc))
+		if _, err := d.SetBreakpoint(addi, ignore); err != nil {
+			t.Fatal(err)
+		}
+		ref := newDenseRef(machine(t, stepOverSrc), Breakpoint{Addr: addi, Ignore: ignore, Enabled: true})
+		stop := d.Run(budget)
+		for n := uint64(1); n <= 4; n++ {
+			want := ref.cont(budget)
+			sameStop(t, "loop body", d, stop, ref, want)
+			if stop.Reason != StopBreakpoint || stop.BP.Hits != ignore+n || d.M.X[isa.X1] != ignore+n-1 {
+				t.Fatalf("ignore %d, stop %d: %v at hit %d with x1=%d", ignore, n, stop.Reason, stop.BP.Hits, d.M.X[isa.X1])
+			}
+			stop = d.Continue(budget)
+		}
+	}
+}
+
+// TestBreakpointStepOverOnlyWhileOnIt pins the other half: only a
+// debuggee still sitting on the breakpoint it stopped at steps over it.
+// Moved off it by the client (LetGo's PC advance), the next arrival
+// counts; and with two breakpoints in the loop body, resuming from one
+// does not swallow the other.
+func TestBreakpointStepOverOnlyWhileOnIt(t *testing.T) {
+	const budget = 1 << 16
+	addi := isa.CodeBase + 3*isa.InstrBytes
+	jmp := isa.CodeBase + 4*isa.InstrBytes
+
+	d := New(machine(t, stepOverSrc))
+	d.SetBreakpoint(addi, 0)
+	ref := newDenseRef(machine(t, stepOverSrc), Breakpoint{Addr: addi, Enabled: true})
+	sameStop(t, "run", d, d.Run(budget), ref, ref.cont(budget))
+	d.SetPC(jmp) // skip the addi: the loop comes back round to it
+	ref.m.PC = jmp
+	stop, want := d.Continue(budget), ref.cont(budget)
+	sameStop(t, "moved off", d, stop, ref, want)
+	if stop.Reason != StopBreakpoint || stop.BP.Hits != 2 || d.M.X[isa.X1] != 0 {
+		t.Fatalf("moved off: hit %d with x1=%d, want hit 2 with x1=0", stop.BP.Hits, d.M.X[isa.X1])
+	}
+
+	d = New(machine(t, stepOverSrc))
+	d.SetBreakpoint(addi, 0)
+	d.SetBreakpoint(jmp, 1)
+	ref = newDenseRef(machine(t, stepOverSrc),
+		Breakpoint{Addr: addi, Enabled: true}, Breakpoint{Addr: jmp, Ignore: 1, Enabled: true})
+	stop = d.Run(budget)
+	for n := 0; n < 20 && stop.Reason == StopBreakpoint; n++ {
+		sameStop(t, "two breakpoints", d, stop, ref, ref.cont(budget))
+		stop = d.Continue(budget)
+	}
+	sameStop(t, "two breakpoints, end", d, stop, ref, ref.cont(budget))
+	if stop.Reason != StopHalt {
+		t.Fatalf("final stop = %v, want halt", stop.Reason)
+	}
+
+	// The breakpoint stopped on is cleared and another remains: the step-over
+	// must not be spent on the first arrival at the other one.
+	d = New(machine(t, stepOverSrc))
+	d.SetBreakpoint(addi, 0)
+	d.Run(budget)
+	d.ClearBreakpoint(addi)
+	d.SetBreakpoint(jmp, 0)
+	if stop = d.Continue(budget); stop.Reason != StopBreakpoint || stop.BP.Hits != 1 || d.M.Retired != 4 {
+		t.Fatalf("after clearing the resumed breakpoint: %v hit %d at retired %d, want the jmp's first arrival",
+			stop.Reason, stop.BP.Hits, d.M.Retired)
+	}
+}

@@ -217,17 +217,27 @@ func attachSupervision(m *vm.Machine, an *pin.Analysis, mode Mode, override *cor
 // threaded into the machine and the LetGo runner. It is the rerun path:
 // the whole prefix up to the injection site is re-executed from PC 0.
 func executeHub(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub) (RunOutcome, error) {
+	// Instance-1 below is the ignore count; instance 0 would wrap it and
+	// run the whole program before reporting the site unreached.
+	if plan.Site.Instance == 0 {
+		return RunOutcome{}, fmt.Errorf("inject: plan %+v names instance 0 of its site (instances count from 1)", plan)
+	}
+	if _, ok := prog.InstrAt(plan.Site.Addr); !ok {
+		return RunOutcome{}, fmt.Errorf("inject: plan %+v names a site outside code", plan)
+	}
 	m, err := vm.New(prog, vm.Config{})
 	if err != nil {
 		return RunOutcome{}, err
 	}
 	dbg, runner := attachSupervision(m, an, mode, override, hub)
-	if _, err := dbg.SetBreakpoint(plan.Site.Addr, plan.Site.Instance-1); err != nil {
+	bp, err := dbg.SetBreakpoint(plan.Site.Addr, plan.Site.Instance-1)
+	if err != nil {
 		return RunOutcome{}, err
 	}
 	stop := dbg.Run(budget)
 	if stop.Reason != debug.StopBreakpoint {
-		return RunOutcome{}, fmt.Errorf("inject: never reached site %+v (stop %v)", plan.Site, stop.Reason)
+		return RunOutcome{}, fmt.Errorf("inject: never reached site %+v (stop %v at %d retired, %d of %d hits)",
+			plan.Site, stop.Reason, m.Retired, bp.Hits, plan.Site.Instance)
 	}
 	dbg.ClearBreakpoint(plan.Site.Addr)
 	return corruptAndContinue(prog, an, plan, dbg, runner, nil, budget, hub)
@@ -304,7 +314,7 @@ func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *deb
 	injectedAt := m.Retired
 
 	out := RunOutcome{Plan: plan}
-	out.DestLive, _ = an.DestLiveAt(plan.Site.Addr)
+	out.DestLive, _ = an.Static().DestLiveAt(plan.Site.Addr)
 	var stop *debug.Stop
 	stop, out.checks, out.elided = runOut(dbg, runner, gold, budget)
 	if runner != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,6 +157,56 @@ func TestExecuteInjectsExactlyOneFlip(t *testing.T) {
 	}
 	if v != 1.5 {
 		t.Errorf("out = %v, want 1.5 after mantissa flip", v)
+	}
+}
+
+// TestExecuteRefusesUnreachablePlans pins the three ways the rerun engine
+// declines a plan: instance 0 (which would wrap the ignore count and run
+// the whole program first) and a site outside code are refused before a
+// machine exists, and a run that ends before the site says how far it got.
+func TestExecuteRefusesUnreachablePlans(t *testing.T) {
+	a := testApp(t)
+	prog, _ := a.Compile()
+	an := pin.Analyze(prog)
+	prof, err := an.ProfileRun(vm.Config{}, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A static instruction in the stencil loop: executed many times.
+	var addr, count uint64
+	for i := range prog.Instrs {
+		at := isa.CodeBase + uint64(i)*isa.InstrBytes
+		if c := prof.CountAt(at); c > count {
+			addr, count = at, c
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		site   pin.Site
+		budget uint64
+		want   []string
+	}{
+		{"instance zero", pin.Site{Addr: addr, Instance: 0}, 1 << 24,
+			[]string{"instance 0", fmt.Sprintf("Addr:%d", addr)}},
+		{"outside code", pin.Site{Addr: isa.CodeBase + 1<<30, Instance: 1}, 1 << 24,
+			[]string{"outside code", fmt.Sprintf("Addr:%d", uint64(isa.CodeBase+1<<30))}},
+		{"halts first", pin.Site{Addr: addr, Instance: count + 5}, 1 << 24,
+			[]string{"never reached", "stop halt", fmt.Sprintf("at %d retired", prof.Total),
+				fmt.Sprintf("%d of %d hits", count, count+5)}},
+		{"budget first", pin.Site{Addr: addr, Instance: count}, prof.Total / 2,
+			[]string{"never reached", "stop budget", fmt.Sprintf("at %d retired", prof.Total/2),
+				fmt.Sprintf("of %d hits", count)}},
+	} {
+		_, err := Execute(prog, an, Plan{Site: tc.site, Mask: 1}, NoLetGo, tc.budget)
+		if err == nil {
+			t.Errorf("%s: Execute accepted the plan", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 //	bp, sp      frame discipline exactly as in the paper's Listing 1
 //
 // Every function gets the full prologue (push bp; mov bp, sp;
-// addi sp, sp, -frame), so pin.FrameSize works on all compiled code.
+// addi sp, sp, -frame), so analysis.PrologueFrame works on all compiled code.
 const (
 	firstIntTemp   = 7 // x7
 	maxIntTemps    = 6

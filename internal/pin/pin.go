@@ -57,38 +57,6 @@ func (a *Analysis) FuncAt(addr uint64) (isa.Symbol, bool) {
 	return a.prog.FuncAt(addr)
 }
 
-// FrameSize recovers the stack-frame size of the function containing
-// addr by scanning the function entry for the standard prologue
-//
-//	push bp
-//	mov  bp, sp
-//	addi sp, sp, -N
-//
-// mirroring the paper's Listing-1 analysis ("locate the instruction that
-// shows how much memory the function needs on the stack"). The returned
-// bound is used by Heuristic II as sp <= bp <= sp+N (+slack for pushed
-// registers). Functions without the full prologue report ok=false. The
-// scan itself lives in internal/analysis (PrologueFrame); this wrapper
-// keeps pin's historical surface.
-func (a *Analysis) FrameSize(addr uint64) (uint64, bool) {
-	return a.Static().PrologueFrame(addr)
-}
-
-// FrameBoundAt returns the per-PC bound Heuristic II should place on the
-// legitimate bp-sp gap at addr: the exact stack-depth dataflow bound when
-// the analysis reaches the instruction, then the prologue-scan frame,
-// then analysis.FallbackFrameBytes. The source says which one was used.
-func (a *Analysis) FrameBoundAt(addr uint64) (uint64, analysis.BoundSource) {
-	return a.Static().FrameBoundAt(addr)
-}
-
-// DestLiveAt reports whether the destination register of the instruction
-// at addr is statically live after the instruction retires. ok is false
-// when the instruction writes no register.
-func (a *Analysis) DestLiveAt(addr uint64) (live, ok bool) {
-	return a.Static().DestLiveAt(addr)
-}
-
 // CheckpointSet derives the minimal checkpoint state set and
 // repair-safety facts for the given acceptance-output globals, running
 // the region and dependency passes on first use.

@@ -44,21 +44,21 @@ func analyze(t *testing.T, src string) *Analysis {
 func TestFrameSizeFromPrologue(t *testing.T) {
 	a := analyze(t, frameSrc)
 	main, _ := a.Program().Symbol("main")
-	size, ok := a.FrameSize(main.Addr + 4*isa.InstrBytes)
+	size, ok := a.Static().PrologueFrame(main.Addr + 4*isa.InstrBytes)
 	if !ok || size != 656 {
-		t.Errorf("FrameSize(main) = %d,%v, want 656", size, ok)
+		t.Errorf("PrologueFrame(main) = %d,%v, want 656", size, ok)
 	}
 	// Cache path returns the same answer.
-	size2, ok2 := a.FrameSize(main.Addr)
+	size2, ok2 := a.Static().PrologueFrame(main.Addr)
 	if size2 != size || ok2 != ok {
-		t.Error("cached FrameSize differs")
+		t.Error("cached PrologueFrame differs")
 	}
 }
 
 func TestFrameSizeLeafWithoutPrologue(t *testing.T) {
 	a := analyze(t, frameSrc)
 	leaf, _ := a.Program().Symbol("leaf")
-	if _, ok := a.FrameSize(leaf.Addr); ok {
+	if _, ok := a.Static().PrologueFrame(leaf.Addr); ok {
 		t.Error("leaf without prologue reported a frame")
 	}
 }
@@ -66,9 +66,9 @@ func TestFrameSizeLeafWithoutPrologue(t *testing.T) {
 func TestFrameSizeNoAllocPrologue(t *testing.T) {
 	a := analyze(t, frameSrc)
 	fn, _ := a.Program().Symbol("noalloc")
-	size, ok := a.FrameSize(fn.Addr + isa.InstrBytes)
+	size, ok := a.Static().PrologueFrame(fn.Addr + isa.InstrBytes)
 	if !ok || size != 0 {
-		t.Errorf("FrameSize(noalloc) = %d,%v, want 0,true", size, ok)
+		t.Errorf("PrologueFrame(noalloc) = %d,%v, want 0,true", size, ok)
 	}
 }
 
@@ -93,16 +93,16 @@ func TestFrameSizeShortFunctions(t *testing.T) {
 		    mov bp, sp
 	`)
 	tiny, _ := a.Program().Symbol("tiny")
-	if _, ok := a.FrameSize(tiny.Addr); ok {
+	if _, ok := a.Static().PrologueFrame(tiny.Addr); ok {
 		t.Error("one-instruction function reported a frame")
 	}
 	// `last` ends the code segment: the third InstrAt read fails, which
 	// the old triple-read scan quietly turned into ok=false. The prologue
 	// is nonetheless complete with a zero-size frame.
 	last, _ := a.Program().Symbol("last")
-	size, ok := a.FrameSize(last.Addr + isa.InstrBytes)
+	size, ok := a.Static().PrologueFrame(last.Addr + isa.InstrBytes)
 	if !ok || size != 0 {
-		t.Errorf("FrameSize(last) = %d,%v, want 0,true", size, ok)
+		t.Errorf("PrologueFrame(last) = %d,%v, want 0,true", size, ok)
 	}
 }
 
@@ -119,15 +119,15 @@ func TestFrameSizeLastFunctionWithAlloc(t *testing.T) {
 		    addi sp, sp, -64
 	`)
 	tail, _ := a.Program().Symbol("tail")
-	size, ok := a.FrameSize(tail.Addr)
+	size, ok := a.Static().PrologueFrame(tail.Addr)
 	if !ok || size != 64 {
-		t.Errorf("FrameSize(tail) = %d,%v, want 64,true", size, ok)
+		t.Errorf("PrologueFrame(tail) = %d,%v, want 64,true", size, ok)
 	}
 }
 
 func TestFrameSizeOutsideAnyFunction(t *testing.T) {
 	a := analyze(t, frameSrc)
-	if _, ok := a.FrameSize(isa.CodeBase + 1<<20); ok {
+	if _, ok := a.Static().PrologueFrame(isa.CodeBase + 1<<20); ok {
 		t.Error("frame size found outside code")
 	}
 }

@@ -12,20 +12,31 @@
 package vm
 
 import (
+	"fmt"
 	"math"
+	"sync"
 
 	"github.com/letgo-hpc/letgo/internal/isa"
 )
 
 // Hooks are the composable per-instruction observation points a caller
-// installs on Drive. All hooks are optional; with Before and Retired nil,
-// Drive runs the bare predecoded dispatch loop with no per-instruction
-// callback work at all (the Trap hook costs nothing until a trap fires).
+// installs on Drive. All hooks are optional; with Retired nil and Before
+// nil or sparse (BeforeAt set), Drive runs the predecoded dispatch loop
+// with no per-instruction callback work at all (the Trap hook costs
+// nothing until a trap fires, a sparse Before nothing until the PC arrives
+// at an instruction it watches).
 type Hooks struct {
 	// Before runs before the instruction at the current PC executes
 	// (breakpoint checks, injection-site matching). Returning true stops
 	// the driver with StopBefore, leaving the instruction unexecuted.
 	Before func(m *Machine) bool
+	// BeforeAt, when non-nil, makes Before sparse: it names the static
+	// instruction indices Before watches, and Before is asked only when
+	// the instruction about to execute is one of them (an empty list
+	// watches nothing). Nil means every instruction. An index may repeat;
+	// one outside the program stops the driver with StopError before
+	// anything executes.
+	BeforeAt []int
 	// Retired runs after an instruction retires; idx is the static index
 	// of the retired instruction (its address is isa.CodeBase +
 	// idx*isa.InstrBytes). The machine state is fully committed when it
@@ -84,20 +95,71 @@ type Stop struct {
 // budgeted instruction has not hung), and the budget is checked before
 // each instruction executes — both exactly as vm.Run always behaved.
 //
-// With no Before/Retired hooks installed the driver runs driveFast, the
-// predecoded dispatch loop; otherwise it steps through the reference
-// Step so every hook observes fully synchronized architectural state.
+// With no Retired hook and no dense Before the driver runs driveFast, the
+// predecoded dispatch loop — a sparse Before is planted in a private copy
+// of the instruction stream (plant) and costs nothing between arrivals.
+// Otherwise it steps through the reference Step so every hook observes
+// fully synchronized architectural state.
 func Drive(m *Machine, budget uint64, h Hooks) Stop {
-	if h.Before == nil && h.Retired == nil {
-		return driveFast(m, budget, h.Trap)
+	if h.Before == nil {
+		h.BeforeAt = nil
 	}
-	return driveHooked(m, budget, h)
+	for _, idx := range h.BeforeAt {
+		if idx < 0 || idx >= len(m.Prog.Instrs) {
+			return Stop{Reason: StopError, Err: fmt.Errorf(
+				"vm: Before watches instruction %d, program has %d", idx, len(m.Prog.Instrs))}
+		}
+	}
+	switch {
+	case h.Retired != nil || h.Before != nil && h.BeforeAt == nil:
+		return driveHooked(m, budget, h)
+	case h.Before == nil:
+		return driveFast(m, budget, m.Prog.Decoded(), h)
+	}
+	code := plant(m.Prog.Decoded(), h.BeforeAt)
+	stop := driveFast(m, budget, *code, h)
+	streams.Put(code)
+	return stop
+}
+
+// opPlanted is the pseudo-op a sparse Before is planted as, numbered next
+// to the real opcodes so dispatch's jump table stays dense. It exists
+// only in the private streams plant builds: never in a program image
+// (Validate rejects it), in Prog.Decoded() or in anything Step executes.
+const opPlanted = isa.Op(isa.NumOps)
+
+// streams recycles the private instruction streams of sparse-Before runs,
+// so a campaign that sets one breakpoint per injection does not allocate
+// one program copy per injection.
+var streams sync.Pool
+
+// plant returns a private copy of the shared predecoded array with
+// opPlanted at every watched index. The shared array is never written:
+// other machines and forks of the program are executing from it.
+func plant(shared []isa.Decoded, at []int) *[]isa.Decoded {
+	code, _ := streams.Get().(*[]isa.Decoded)
+	if code == nil {
+		code = new([]isa.Decoded)
+	}
+	*code = append((*code)[:0], shared...)
+	for _, idx := range at {
+		(*code)[idx].Op = opPlanted
+	}
+	return code
 }
 
 // driveHooked is the instrumented path: per-instruction hooks observe the
 // machine through the reference Step, which keeps PC/Retired committed at
-// every observation point (a Retired hook may Fork the machine).
+// every observation point (a Retired hook may Fork the machine). A sparse
+// Before is asked at exactly the arrivals driveFast would ask it.
 func driveHooked(m *Machine, budget uint64, h Hooks) Stop {
+	var watched []bool // by static index; nil when Before is dense
+	if h.BeforeAt != nil {
+		watched = make([]bool, len(m.Prog.Instrs))
+		for _, idx := range h.BeforeAt {
+			watched[idx] = true
+		}
+	}
 	for {
 		if m.Halted {
 			return Stop{Reason: StopHalted}
@@ -105,7 +167,7 @@ func driveHooked(m *Machine, budget uint64, h Hooks) Stop {
 		if m.Retired >= budget {
 			return Stop{Reason: StopBudget}
 		}
-		if h.Before != nil && h.Before(m) {
+		if h.Before != nil && (watched == nil || watches(watched, m.PC)) && h.Before(m) {
 			return Stop{Reason: StopBefore}
 		}
 		pc := m.PC
@@ -129,45 +191,93 @@ func driveHooked(m *Machine, budget uint64, h Hooks) Stop {
 	}
 }
 
-// driveFast is the bare dispatch loop: PC and the retirement counter live
-// in locals, instructions come from the shared predecoded array, and the
-// only per-instruction overhead beyond the opcode's own work is the
-// budget check and the fetch-range test. Machine state is flushed back
-// only at stop points (halt, budget, trap), which is sound because no
-// hook can observe the machine mid-run.
+// watches reports whether pc is the address of a watched instruction.
+func watches(watched []bool, pc uint64) bool {
+	off := pc - isa.CodeBase
+	idx := off / isa.InstrBytes
+	return off%isa.InstrBytes == 0 && idx < uint64(len(watched)) && watched[idx]
+}
+
+// arrived is what the opPlanted arm leaves the dispatch loop with: not an
+// exception, the marker that takes the loop's cold exit to ask Before.
+var arrived = new(Trap)
+
+// driveFast is the fast path: it runs dispatch, the bare loop, and deals
+// with whatever the loop left for, re-entering it when a hook says to go
+// on. The loop is handed no hooks: kept live across it (as func values or
+// behind one pointer) they were reloaded from the stack at every
+// retirement, 2% off every run-out on every workload.
 //
 // Trap semantics match Step exactly: a faulting instruction commits
 // nothing, the flushed PC points at it, OnTrap observes the exception,
 // and the optional trap hook either repairs-and-resumes or stops.
-func driveFast(m *Machine, budget uint64, onTrap func(*Machine, *Trap) bool) Stop {
-	code := m.Prog.Decoded()
-	instrs := m.Prog.Instrs
+//
+// A planted instruction leaves the loop by the same cold exit as a trap.
+// h.Before is then asked as driveHooked would ask it — after the budget
+// check, PC at the instruction, nothing committed — and on "continue" the
+// displaced instruction retires once through the reference Step before
+// the loop re-enters. The loop itself never re-dispatches the original
+// op: keeping both streams live in it cost 6% on every run-out
+// (docs/DISPATCH.md).
+func driveFast(m *Machine, budget uint64, code []isa.Decoded, h Hooks) Stop {
+	for {
+		tr := dispatch(m, budget, code)
+		switch tr {
+		case nil:
+			if m.Halted {
+				return Stop{Reason: StopHalted}
+			}
+			return Stop{Reason: StopBudget}
+		case arrived:
+			if h.Before(m) {
+				return Stop{Reason: StopBefore}
+			}
+			err := m.Step() // observes OnTrap itself
+			if err == nil {
+				continue
+			}
+			var ok bool
+			if tr, ok = err.(*Trap); !ok {
+				return Stop{Reason: StopError, Err: err}
+			}
+		default:
+			if m.OnTrap != nil {
+				m.OnTrap(tr)
+			}
+		}
+		if h.Trap == nil || !h.Trap(m, tr) {
+			return Stop{Reason: StopTrap, Trap: tr}
+		}
+	}
+}
+
+// dispatch is the bare loop: PC and the retirement counter live in locals,
+// instructions come from a predecoded array (the program's shared one, or
+// a planted private copy of it), and the only per-instruction overhead
+// beyond the opcode's own work is the budget check and the fetch-range
+// test. Machine state is flushed back only where the loop returns, which
+// is sound because no hook can observe the machine mid-run: nil when the
+// machine has halted or retired its budget, arrived at a planted
+// instruction, otherwise the trap the instruction at the flushed PC
+// raised, with nothing of it committed.
+func dispatch(m *Machine, budget uint64, code []isa.Decoded) *Trap {
+	if m.Halted {
+		return nil
+	}
 	x := &m.X
 	f := &m.F
-
-restart:
-	if m.Halted {
-		return Stop{Reason: StopHalted}
-	}
 	pc := m.PC
 	retired := m.Retired
 	for {
 		if retired >= budget {
 			m.PC, m.Retired = pc, retired
-			return Stop{Reason: StopBudget}
+			return nil
 		}
 		off := pc - isa.CodeBase
 		idx := off / isa.InstrBytes
 		if off%isa.InstrBytes != 0 || idx >= uint64(len(code)) {
 			m.PC, m.Retired = pc, retired
-			t := &Trap{Signal: SIGSEGV, PC: pc, Fetch: true}
-			if m.OnTrap != nil {
-				m.OnTrap(t)
-			}
-			if onTrap != nil && onTrap(m, t) {
-				goto restart
-			}
-			return Stop{Reason: StopTrap, Trap: t}
+			return &Trap{Signal: SIGSEGV, PC: pc, Fetch: true}
 		}
 		in := &code[idx]
 		next := pc + isa.InstrBytes
@@ -182,7 +292,7 @@ restart:
 		case isa.HALT:
 			m.PC, m.Retired = next, retired+1
 			m.Halted = true
-			return Stop{Reason: StopHalted}
+			return nil
 		case isa.ABORT:
 			tr = &Trap{Signal: SIGABRT}
 
@@ -367,19 +477,17 @@ restart:
 			m.print("%.17g\n", f[in.Rs1])
 		case isa.CYCLES:
 			x[in.Rd] = retired
+		case opPlanted:
+			tr = arrived
 		}
 
 		if tr != nil {
 			m.PC, m.Retired = pc, retired
-			tr.PC = pc
-			tr.Instr = instrs[idx]
-			if m.OnTrap != nil {
-				m.OnTrap(tr)
+			if tr != arrived {
+				tr.PC = pc
+				tr.Instr = m.Prog.Instrs[idx]
 			}
-			if onTrap != nil && onTrap(m, tr) {
-				goto restart
-			}
-			return Stop{Reason: StopTrap, Trap: tr}
+			return tr
 		}
 		pc = next
 		retired++

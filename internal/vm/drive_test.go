@@ -3,6 +3,7 @@ package vm_test
 import (
 	"testing"
 
+	"github.com/letgo-hpc/letgo/internal/apps"
 	"github.com/letgo-hpc/letgo/internal/asm"
 	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/vm"
@@ -137,5 +138,75 @@ func TestDriveHaltBeatsBudget(t *testing.T) {
 	}
 	if m.Retired != 1 {
 		t.Errorf("retired = %d, want 1", m.Retired)
+	}
+}
+
+// BenchmarkDriveToSite measures reaching one injection site on a fresh
+// machine — the rerun engine's prefix — three ways: a sparse Before
+// counting arrivals at the site (planted in driveFast's stream; how the
+// debugger's breakpoints run), a dense Before asking the same question at
+// every instruction (how they ran before), and the bare loop told the
+// answer as a budget (the floor). The site is CLAMR's median dynamic
+// instruction, so each iteration runs half the program.
+func BenchmarkDriveToSite(b *testing.B) {
+	app, ok := apps.ByName("CLAMR")
+	if !ok {
+		b.Fatal("no CLAMR")
+	}
+	prog, err := app.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := func() *vm.Machine {
+		m, err := vm.New(prog, vm.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	m := fresh()
+	vm.Drive(m, 1<<40, vm.Hooks{})
+	when := m.Retired / 2
+	m = fresh()
+	vm.Drive(m, when, vm.Hooks{})
+	addr := m.PC
+	idx := int((addr - isa.CodeBase) / isa.InstrBytes)
+	// The site's instance: arrivals at idx up to and including the one at
+	// `when` retired.
+	instance := 0
+	vm.Drive(fresh(), 1<<40, vm.Hooks{BeforeAt: []int{idx}, Before: func(m *vm.Machine) bool {
+		instance++
+		return m.Retired == when
+	}})
+
+	counting := func() func(*vm.Machine) bool {
+		hits := 0
+		return func(m *vm.Machine) bool {
+			if m.PC != addr {
+				return false
+			}
+			hits++
+			return hits == instance
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		hooks func() (uint64, vm.Hooks)
+	}{
+		{"sparse", func() (uint64, vm.Hooks) { return 1 << 40, vm.Hooks{Before: counting(), BeforeAt: []int{idx}} }},
+		{"dense", func() (uint64, vm.Hooks) { return 1 << 40, vm.Hooks{Before: counting()} }},
+		{"budget", func() (uint64, vm.Hooks) { return when, vm.Hooks{} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := fresh()
+				budget, h := bc.hooks()
+				vm.Drive(m, budget, h)
+				if m.Retired != when || m.PC != addr {
+					b.Fatalf("stopped at pc=%#x retired=%d, want the site pc=%#x retired=%d", m.PC, m.Retired, addr, when)
+				}
+			}
+			b.ReportMetric(float64(when)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -72,5 +73,40 @@ func TestFlagsMarkedSwitchDespiteDefault(t *testing.T) {
 	}
 	if !strings.Contains(out, "ADD") {
 		t.Fatalf("diagnostic should name missing opcodes:\n%s", out)
+	}
+}
+
+// TestAcceptsPackageLocalPseudoOp checks the shape vm.driveFast's table
+// has: an //opcheck:exhaustive switch that enumerates every opcode plus an
+// arm for a package-local pseudo-op passes, and the same switch with one
+// real opcode dropped is still flagged — the extra arm buys no slack.
+func TestAcceptsPackageLocalPseudoOp(t *testing.T) {
+	tool := buildTool(t)
+	if out, err := runVet(t, tool, "./tools/opcheck/testdata/pseudoop"); err != nil {
+		t.Fatalf("pseudoop fixture should pass: %v\n%s", err, out)
+	}
+
+	src, err := os.ReadFile("testdata/pseudoop/pseudoop.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := bytes.Replace(src, []byte(", isa.CYCLES:"), []byte(":"), 1)
+	if bytes.Equal(dropped, src) {
+		t.Fatal("fixture no longer lists isa.CYCLES where the test drops it")
+	}
+	dir, err := os.MkdirTemp("testdata", "pseudoop-dropped-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	if err := os.WriteFile(filepath.Join(dir, "pseudoop.go"), dropped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runVet(t, tool, "./tools/opcheck/"+filepath.ToSlash(dir))
+	if err == nil {
+		t.Fatalf("expected vet failure with isa.CYCLES dropped, got success:\n%s", out)
+	}
+	if !strings.Contains(out, "is marked opcheck:exhaustive and misses: CYCLES") {
+		t.Fatalf("diagnostic should name exactly the dropped opcode:\n%s", out)
 	}
 }
