@@ -108,20 +108,43 @@ type Memory struct {
 	segments []Segment
 	copied   uint64 // pages copied out of the base by COW faults
 
-	// One-entry caches for the aligned 8-byte hot path (the simulated
-	// machine's LD/ST/PUSH/POP/CALL/RET traffic). rPage may reference a
-	// frozen page (reads only); wPage always references a private page in
-	// pages, so Fork — which seals pages into the frozen base — must clear
-	// it. writablePage keeps rPage coherent when a page goes private.
-	// These caches make reads stateful, so sharing a Memory across
-	// goroutines requires external serialization even for reads (forking
-	// an unwritten Memory concurrently remains safe: it touches none of
-	// these fields).
-	rIdx  uint64
-	rPage []byte
-	wIdx  uint64
-	wPage []byte
-	seg   int // index of the last segment hit by mapped8
+	// Software TLBs for the aligned 8-byte hot path (the simulated
+	// machine's LD/ST/PUSH/POP/CALL/RET traffic), direct-mapped on the low
+	// bits of the page index. A hit is the whole access check; a miss runs
+	// the checks in full (miss8) and installs. What keeps them coherent:
+	//   - a write entry only ever points at a private page in pages, so
+	//     Fork clears them all when it seals pages into the frozen base —
+	//     and only then: forking a clean Memory writes no field, which is
+	//     what keeps it safe from many goroutines at once;
+	//   - a read entry may point at a frozen page or at zeroPage (an
+	//     untouched page); writablePage repoints the read entry of any page
+	//     it privatises, whoever asked, so no read goes to a stale ancestor;
+	//   - a fork starts with both empty, and Equal and TouchedPages read
+	//     neither, so a Memory nobody writes can be compared against and
+	//     forked while others do the same.
+	// The TLBs make reads stateful: sharing a Memory across goroutines
+	// needs external serialization even for Read8.
+	rtlb, wtlb [tlbSize]tlbEntry
+}
+
+// tlbSize is the number of entries in each TLB. 8 to 64 measure the same
+// on the six apps (EXPERIMENTS.md E18); 16 keeps what Fork zeroes and what
+// every resident waypoint carries at 768 B.
+const tlbSize = 16
+
+// tlbEntry caches one page of one segment: an aligned 8-byte access at addr
+// lies inside that page and that segment iff addr-first < size (unsigned).
+// One range stands for the page tag and the bounds both, because segments
+// are bounded at byte granularity and two may share a page — "the page is
+// mapped" would not be enough. The zero entry (size 0) is empty.
+type tlbEntry struct {
+	first, size uint64
+	page        *[PageSize]byte
+}
+
+// hit reports whether e answers an 8-byte access at addr.
+func (e *tlbEntry) hit(addr uint64) bool {
+	return addr-e.first < e.size && addr&7 == 0
 }
 
 // New returns an empty memory with no mapped segments.
@@ -141,10 +164,10 @@ func (m *Memory) Fork() *Memory {
 		}
 		m.base = &frozen{pages: m.pages, parent: m.base, depth: depth}
 		m.pages = make(map[uint64][]byte)
-		// The sealed pages are immutable now; the write cache must not
-		// keep a direct reference into them. The read cache stays valid
-		// (same bytes) and is repointed by the next write to its page.
-		m.wIdx, m.wPage = 0, nil
+		// The sealed pages are immutable now; no write entry may keep a
+		// reference into them. Read entries stay valid (same bytes) and
+		// are repointed by the next write to their page.
+		m.wtlb = [tlbSize]tlbEntry{}
 		if m.base.depth >= flattenDepth {
 			m.base = m.base.flatten()
 		}
@@ -254,11 +277,12 @@ func (m *Memory) writablePage(addr uint64) []byte {
 			}
 		}
 		m.pages[idx] = p
+		// A read entry left on the page's frozen ancestor (or on zeroPage)
+		// would miss this and every later write.
+		if e := &m.rtlb[idx%tlbSize]; e.size != 0 && e.first/PageSize == idx {
+			e.page = (*[PageSize]byte)(p)
+		}
 	}
-	// Keep both caches on the private copy: a read cache left pointing at
-	// the page's frozen ancestor would miss this and later writes.
-	m.wIdx, m.wPage = idx, p
-	m.rIdx, m.rPage = idx, p
 	return p
 }
 
@@ -292,68 +316,59 @@ func (m *Memory) rawWrite(addr uint64, src []byte) {
 	}
 }
 
-// mapped8 is Mapped specialized for an aligned 8-byte access, with a
-// one-entry cache of the last segment hit (the machine's loads and
-// stores run in long same-segment streaks).
-func (m *Memory) mapped8(addr uint64) bool {
-	if addr+8 < addr {
-		return false
-	}
-	if m.seg < len(m.segments) {
-		if s := &m.segments[m.seg]; addr >= s.Base && addr+8 <= s.Base+s.Size {
-			return true
+// Read8 loads a 64-bit little-endian word. An aligned access never
+// crosses a page, so a TLB hit is a direct read of the page.
+func (m *Memory) Read8(addr uint64) (uint64, error) {
+	e := &m.rtlb[addr/PageSize%tlbSize]
+	if !e.hit(addr) {
+		var err error
+		if e, err = m.miss8(addr, false); err != nil {
+			return 0, err
 		}
 	}
-	i := sort.Search(len(m.segments), func(i int) bool { return m.segments[i].Base > addr })
-	if i == 0 {
-		return false
-	}
-	s := m.segments[i-1]
-	if addr < s.Base || addr+8 > s.End() {
-		return false
-	}
-	m.seg = i - 1
-	return true
-}
-
-// Read8 loads a 64-bit little-endian word. An aligned access never
-// crosses a page, so a hit in the page cache is a direct slice read.
-func (m *Memory) Read8(addr uint64) (uint64, error) {
-	if addr&7 != 0 {
-		return 0, &AccessError{Kind: Misaligned, Addr: addr, Size: 8}
-	}
-	if !m.mapped8(addr) {
-		return 0, &AccessError{Kind: Unmapped, Addr: addr, Size: 8}
-	}
-	if idx := addr / PageSize; idx == m.rIdx && m.rPage != nil {
-		return binary.LittleEndian.Uint64(m.rPage[addr&(PageSize-1):]), nil
-	}
-	return m.read8Slow(addr)
-}
-
-func (m *Memory) read8Slow(addr uint64) (uint64, error) {
-	p := m.readPage(addr)
-	if p == nil {
-		return 0, nil // untouched page reads as zero; nothing to cache
-	}
-	m.rIdx, m.rPage = addr/PageSize, p
-	return binary.LittleEndian.Uint64(p[addr&(PageSize-1):]), nil
+	off := addr & (PageSize - 8) // addr%PageSize, as one mask the bounds check folds into
+	return binary.LittleEndian.Uint64(e.page[off:]), nil
 }
 
 // Write8 stores a 64-bit little-endian word.
 func (m *Memory) Write8(addr, val uint64) error {
-	if addr&7 != 0 {
-		return &AccessError{Kind: Misaligned, Addr: addr, Size: 8, Write: true}
+	e := &m.wtlb[addr/PageSize%tlbSize]
+	if !e.hit(addr) {
+		var err error
+		if e, err = m.miss8(addr, true); err != nil {
+			return err
+		}
 	}
-	if !m.mapped8(addr) {
-		return &AccessError{Kind: Unmapped, Addr: addr, Size: 8, Write: true}
-	}
-	p := m.wPage
-	if idx := addr / PageSize; idx != m.wIdx || p == nil {
-		p = m.writablePage(addr)
-	}
-	binary.LittleEndian.PutUint64(p[addr&(PageSize-1):], val)
+	off := addr & (PageSize - 8)
+	binary.LittleEndian.PutUint64(e.page[off:], val)
 	return nil
+}
+
+// miss8 is the TLB miss path of an 8-byte access: the access checks in
+// their architectural order (misaligned before unmapped), one search for
+// the segment, then the page — the private copy for a write, the newest
+// version or zeroPage for a read — installed with the range of addresses
+// at which an 8-byte access stays inside this page and that segment.
+func (m *Memory) miss8(addr uint64, write bool) (*tlbEntry, error) {
+	if addr&7 != 0 {
+		return nil, &AccessError{Kind: Misaligned, Addr: addr, Size: 8, Write: write}
+	}
+	s, ok := m.SegmentAt(addr)
+	if !ok || addr+8 < addr || addr+8 > s.End() {
+		return nil, &AccessError{Kind: Unmapped, Addr: addr, Size: 8, Write: write}
+	}
+	idx := addr / PageSize
+	start := idx * PageSize
+	first := max(s.Base, start)
+	end := start + min(s.End()-start, PageSize)
+	e, p := &m.rtlb[idx%tlbSize], zeroPage[:]
+	if write {
+		e, p = &m.wtlb[idx%tlbSize], m.writablePage(addr)
+	} else if rp := m.readPage(addr); rp != nil {
+		p = rp
+	}
+	*e = tlbEntry{first: first, size: end - 7 - first, page: (*[PageSize]byte)(p)}
+	return e, nil
 }
 
 // ReadFloat loads an IEEE-754 binary64 value.
