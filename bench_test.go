@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, plus ablations for the design decisions in DESIGN.md §5 and
-// raw substrate throughput numbers.
+// the two substrate numbers no bench/ probe covers.
 //
 //	BenchmarkTable3            fault-outcome distribution under LetGo-E (Table 3)
 //	BenchmarkFigure5           LetGo-B vs LetGo-E on the four metrics (Figure 5a-d)
@@ -10,7 +10,8 @@
 //	BenchmarkFigure8           C/R efficiency vs system scale (Figure 8)
 //	BenchmarkSection8HPL       the direct-method case study (Section 8)
 //	BenchmarkAblation*         D1-D5 design-choice ablations
-//	Benchmark{VM,Compiler,...} substrate throughput
+//	BenchmarkInjection         one full rerun-engine injection (bench/ names it)
+//	BenchmarkClusterHarness    the executed multi-rank C/R job (E13)
 //
 // Campaign benchmarks report their headline numbers as custom metrics
 // (continuability, SDC rates, efficiency gains) so `go test -bench` output
@@ -25,7 +26,6 @@ import (
 	"github.com/letgo-hpc/letgo/internal/apps"
 	"github.com/letgo-hpc/letgo/internal/checkpoint"
 	"github.com/letgo-hpc/letgo/internal/core"
-	"github.com/letgo-hpc/letgo/internal/debug"
 	"github.com/letgo-hpc/letgo/internal/inject"
 	"github.com/letgo-hpc/letgo/internal/lang"
 	"github.com/letgo-hpc/letgo/internal/pin"
@@ -241,7 +241,7 @@ func BenchmarkSection8HPL(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := CRParamsFor(hpl, 1200, 0.10, 21600)
 			var err error
-			std, lg, err = checkpoint.Compare(p, stats.NewRNG(3), checkpoint.DefaultHorizon)
+			std, lg, err = checkpoint.CompareArms(p, stats.NewRNG(3), checkpoint.DefaultHorizon, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -336,7 +336,7 @@ func BenchmarkAblationInterval(b *testing.B) {
 				p := base
 				p.Interval = c.interval
 				p.Rule = c.rule
-				r, err := checkpoint.SimulateStandard(p, stats.NewRNG(5), checkpoint.DefaultHorizon)
+				r, err := checkpoint.Simulate(p, stats.NewRNG(5), checkpoint.DefaultHorizon, false, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -357,7 +357,7 @@ func BenchmarkSyncOverhead(b *testing.B) {
 			var pts []checkpoint.Point
 			for i := 0; i < b.N; i++ {
 				var err error
-				pts, err = checkpoint.SweepCheckpointCost(app, []float64{12, 120, 1200}, sync, 21600, 2017, checkpoint.DefaultHorizon)
+				pts, err = checkpoint.SweepCheckpointCostModelTraced(app, []float64{12, 120, 1200}, nil, sync, 21600, 2017, checkpoint.DefaultHorizon, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,7 +381,7 @@ func BenchmarkWeibullArrivals(b *testing.B) {
 				p := CRParamsFor(app, 1200, 0.10, 21600)
 				p.WeibullShape = shape
 				var err error
-				std, lg, err = checkpoint.Compare(p, stats.NewRNG(9), checkpoint.DefaultHorizon)
+				std, lg, err = checkpoint.CompareArms(p, stats.NewRNG(9), checkpoint.DefaultHorizon, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -455,57 +455,6 @@ func BenchmarkClusterHarness(b *testing.B) {
 				b.ReportMetric(eff/float64(runs), "efficiency")
 			}
 		})
-	}
-}
-
-// BenchmarkVMExecution measures raw simulated-CPU throughput.
-func BenchmarkVMExecution(b *testing.B) {
-	app, _ := AppByName("SNAP")
-	prog, err := app.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var retired uint64
-	for i := 0; i < b.N; i++ {
-		m, err := vm.New(prog, vm.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Run(1 << 30); err != nil {
-			b.Fatal(err)
-		}
-		retired += m.Retired
-	}
-	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkCompiler measures MiniC compilation throughput.
-func BenchmarkCompiler(b *testing.B) {
-	app, _ := AppByName("PENNANT")
-	for i := 0; i < b.N; i++ {
-		if _, err := lang.Compile(app.Source); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDebuggerStep measures single-step control overhead.
-func BenchmarkDebuggerStep(b *testing.B) {
-	prog, err := lang.Compile(`func main() { var i int; for (i = 0; i < 1000000000; i = i + 1) { } }`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := vm.New(prog, vm.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := debug.New(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if stop := d.StepInstr(); stop != nil {
-			b.Fatal("unexpected stop")
-		}
 	}
 }
 

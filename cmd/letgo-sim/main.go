@@ -214,7 +214,7 @@ func main() {
 		}
 	case 0:
 		params := checkpoint.ParamsFor(probs, costOf(*tchk), *sync, *mtbFaults)
-		std, lg, err := checkpoint.CompareTraced(params, stats.NewRNG(*seed), *horizon, tracer)
+		std, lg, err := checkpoint.CompareArms(params, stats.NewRNG(*seed), *horizon, tracer)
 		if err != nil {
 			fatal(err)
 		}

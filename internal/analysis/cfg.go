@@ -127,25 +127,6 @@ func (a *Analysis) FuncAt(addr uint64) (*Func, bool) {
 	return a.Funcs[a.funcOf[i]], true
 }
 
-// BlockAt returns the basic block containing addr.
-func (a *Analysis) BlockAt(addr uint64) (*Block, bool) {
-	i, ok := a.index(addr)
-	if !ok {
-		return nil, false
-	}
-	return a.Blocks[a.blockOf[i]], true
-}
-
-// Reachable reports whether the block containing addr is reachable from
-// its function's entry.
-func (a *Analysis) Reachable(addr uint64) bool {
-	i, ok := a.index(addr)
-	if !ok {
-		return false
-	}
-	return a.reach[a.blockOf[i]]
-}
-
 // Analyze builds the CFG and runs the stack-depth and liveness dataflows
 // (the framework's base passes). It never fails: malformed flow (branches
 // out of the code segment, fall-off ends) is recorded as block attributes
@@ -202,16 +183,6 @@ func (a *Analysis) buildFuncs() {
 			a.funcOf[k] = f.Index
 		}
 		i = j
-	}
-}
-
-// terminator classifies instructions that end a block with no fall-through.
-func terminator(op isa.Op) bool {
-	switch op {
-	case isa.HALT, isa.ABORT, isa.RET, isa.JMP:
-		return true
-	default:
-		return false
 	}
 }
 

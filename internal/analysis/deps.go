@@ -33,12 +33,6 @@ type Deps struct {
 	MemFlow []RegionSet
 }
 
-// Deps returns the dependency facts, running the pass on first use.
-func (a *Analysis) Deps() *Deps {
-	a.Require(PassDeps)
-	return a.deps
-}
-
 // LiveClosure returns the backward closure of the dependency graph from
 // the given seed regions: the seeds plus every region whose contents may
 // influence them.

@@ -210,25 +210,6 @@ func (a *Analysis) computeLiveness() {
 	}
 }
 
-// LiveIn returns the registers live on entry to the instruction at addr.
-func (a *Analysis) LiveIn(addr uint64) (RegSet, bool) {
-	i, ok := a.index(addr)
-	if !ok {
-		return RegSet{}, false
-	}
-	return a.liveIn[i], true
-}
-
-// LiveOut returns the registers live immediately after the instruction at
-// addr retires.
-func (a *Analysis) LiveOut(addr uint64) (RegSet, bool) {
-	i, ok := a.index(addr)
-	if !ok {
-		return RegSet{}, false
-	}
-	return a.liveOut[i], true
-}
-
 // DestLiveAt reports whether the destination register of the instruction
 // at addr is live after the instruction retires — i.e. whether a fault
 // injected into that destination can propagate at all. ok is false when

@@ -205,15 +205,6 @@ type Regions struct {
 	bitCache []RegionSet
 }
 
-// FrameRegion returns the frame region index of function fi.
-func (r *Regions) FrameRegion(fi int) int { return r.frameOf[fi] }
-
-// StackRegion returns the unattributed-stack region index.
-func (r *Regions) StackRegion() int { return r.stack }
-
-// HeapRegion returns the heap region index.
-func (r *Regions) HeapRegion() int { return r.heap }
-
 // NewSet returns an empty set sized for this region map.
 func (r *Regions) NewSet() RegionSet { return newRegionSet(len(r.All)) }
 

@@ -61,7 +61,7 @@ func Advise(p Params, cfg AdviseConfig) (Advice, error) {
 	}
 
 	rng := stats.NewRNG(cfg.Seed)
-	std, lg, err := Compare(p, rng, horizon)
+	std, lg, err := CompareArms(p, rng, horizon, nil)
 	if err != nil {
 		return Advice{}, err
 	}

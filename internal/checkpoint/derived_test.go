@@ -66,7 +66,7 @@ func TestSweepCostModelMatchesDirectSweep(t *testing.T) {
 	for i, x := range nominal {
 		scaled[i] = cost(x)
 	}
-	direct, err := SweepCheckpointCost(app, scaled, 0.10, 21600, seed, horizon)
+	direct, err := SweepCheckpointCostModelTraced(app, scaled, nil, 0.10, 21600, seed, horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

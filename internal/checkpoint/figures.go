@@ -45,30 +45,21 @@ func sweep(xs []float64, params func(x float64) (Params, error), seed uint64, ho
 // LetGo as the checkpoint cost scales (12 s, 120 s, 1200 s) at
 // MTBFaults = 21600 s and 10% synchronization overhead.
 func Figure7(app AppProbabilities, seed uint64) ([]Point, error) {
-	return SweepCheckpointCost(app, []float64{12, 120, 1200}, 0.10, 21600, seed, DefaultHorizon)
+	return SweepCheckpointCostModelTraced(app, []float64{12, 120, 1200}, nil, 0.10, 21600, seed, DefaultHorizon, nil)
 }
 
-// SweepCheckpointCostTraced runs both models across checkpoint costs,
-// reporting state transitions to tr when non-nil.
-func SweepCheckpointCostTraced(app AppProbabilities, tchks []float64, syncFrac, mtbFaults float64, seed uint64, horizon float64, tr Tracer) ([]Point, error) {
-	return sweep(tchks, func(tchk float64) (Params, error) {
-		return ParamsFor(app, tchk, syncFrac, mtbFaults), nil
-	}, seed, horizon, tr)
-}
-
-// SweepCheckpointCostModelTraced is SweepCheckpointCostTraced with a cost
-// transform: each nominal T_chk passes through cost before entering the
-// model (e.g. DerivedCheckpointCost for a derived minimal checkpoint
-// set), while the sweep's x-axis keeps the nominal value.
+// SweepCheckpointCostModelTraced runs both models across checkpoint
+// costs, reporting state transitions to tr when non-nil. A non-nil cost
+// transforms each nominal T_chk before it enters the model (e.g.
+// DerivedCheckpointCost for a derived minimal checkpoint set), while the
+// sweep's x-axis keeps the nominal value.
 func SweepCheckpointCostModelTraced(app AppProbabilities, tchks []float64, cost func(float64) float64, syncFrac, mtbFaults float64, seed uint64, horizon float64, tr Tracer) ([]Point, error) {
 	return sweep(tchks, func(tchk float64) (Params, error) {
-		return ParamsFor(app, cost(tchk), syncFrac, mtbFaults), nil
+		if cost != nil {
+			tchk = cost(tchk)
+		}
+		return ParamsFor(app, tchk, syncFrac, mtbFaults), nil
 	}, seed, horizon, tr)
-}
-
-// SweepCheckpointCost is SweepCheckpointCostTraced without a tracer.
-func SweepCheckpointCost(app AppProbabilities, tchks []float64, syncFrac, mtbFaults float64, seed uint64, horizon float64) ([]Point, error) {
-	return SweepCheckpointCostTraced(app, tchks, syncFrac, mtbFaults, seed, horizon, nil)
 }
 
 // Figure8 reproduces the paper's Figure 8: efficiency as the system
@@ -76,7 +67,7 @@ func SweepCheckpointCost(app AppProbabilities, tchks []float64, syncFrac, mtbFau
 // of 12 hours; MTBF halves per doubling of the node count, and
 // MTBFaults = 2*MTBF (the paper's simplification).
 func Figure8(app AppProbabilities, tchk float64, seed uint64) ([]Point, error) {
-	return SweepScale(app, tchk, 0.10, []int{100_000, 200_000, 400_000}, seed, DefaultHorizon)
+	return SweepScaleTraced(app, tchk, 0.10, []int{100_000, 200_000, 400_000}, seed, DefaultHorizon, nil)
 }
 
 // SweepScaleTraced runs both models across system sizes, reporting state
@@ -93,9 +84,4 @@ func SweepScaleTraced(app AppProbabilities, tchk, syncFrac float64, nodes []int,
 		mtbf := 12 * 3600.0 * 100_000 / x // crash MTBF shrinks with scale
 		return ParamsFor(app, tchk, syncFrac, 2*mtbf), nil
 	}, seed, horizon, tr)
-}
-
-// SweepScale is SweepScaleTraced without a tracer.
-func SweepScale(app AppProbabilities, tchk, syncFrac float64, nodes []int, seed uint64, horizon float64) ([]Point, error) {
-	return SweepScaleTraced(app, tchk, syncFrac, nodes, seed, horizon, nil)
 }

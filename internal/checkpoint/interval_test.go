@@ -44,12 +44,12 @@ func TestDalyEfficiencyComparableToYoung(t *testing.T) {
 	// the two rules perform nearly identically. Verify within 1 point.
 	app, _ := PaperAppByName("LULESH")
 	base := ParamsFor(app, 1200, 0.10, 21600)
-	y, err := SimulateStandard(base, stats.NewRNG(3), testHorizon)
+	y, err := Simulate(base, stats.NewRNG(3), testHorizon, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Rule = RuleDaly
-	d, err := SimulateStandard(base, stats.NewRNG(3), testHorizon)
+	d, err := Simulate(base, stats.NewRNG(3), testHorizon, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestWeibullArrivals(t *testing.T) {
 	app, _ := PaperAppByName("CLAMR")
 	p := ParamsFor(app, 1200, 0.10, 21600)
 	p.WeibullShape = 0.7
-	std, lg, err := Compare(p, stats.NewRNG(5), testHorizon)
+	std, lg, err := CompareArms(p, stats.NewRNG(5), testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWeibullArrivals(t *testing.T) {
 	}
 	// Invalid shape rejected.
 	p.WeibullShape = -1
-	if _, err := SimulateStandard(p, stats.NewRNG(1), 1e6); err == nil {
+	if _, err := Simulate(p, stats.NewRNG(1), 1e6, false, nil); err == nil {
 		t.Error("negative shape accepted")
 	}
 }

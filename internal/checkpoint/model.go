@@ -326,31 +326,6 @@ func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, tr Tracer) 
 	return res, nil
 }
 
-// SimulateStandard runs the M-S state machine (Figure 6a) until the
-// accumulated cost reaches horizon seconds, returning the asymptotic
-// efficiency statistics.
-func SimulateStandard(p Params, rng *stats.RNG, horizon float64) (Result, error) {
-	return Simulate(p, rng, horizon, false, nil)
-}
-
-// SimulateStandardTraced is SimulateStandard with an optional transition
-// tracer (nil traces nothing).
-func SimulateStandardTraced(p Params, rng *stats.RNG, horizon float64, tr Tracer) (Result, error) {
-	return Simulate(p, rng, horizon, false, tr)
-}
-
-// SimulateLetGo runs the M-L state machine (Figure 6b): crashes first go
-// to the LETGO state; elided crashes continue in CONT with the isLetGo
-// flag selecting PVPrime at the next verification.
-func SimulateLetGo(p Params, rng *stats.RNG, horizon float64) (Result, error) {
-	return Simulate(p, rng, horizon, true, nil)
-}
-
-// SimulateLetGoTraced is SimulateLetGo with an optional transition tracer.
-func SimulateLetGoTraced(p Params, rng *stats.RNG, horizon float64, tr Tracer) (Result, error) {
-	return Simulate(p, rng, horizon, true, tr)
-}
-
 // CompareArms runs both models on the same parameters (fresh RNG streams
 // split from rng) and returns (standard, letgo). tr, when non-nil,
 // observes both arms' transitions.
@@ -364,15 +339,4 @@ func CompareArms(p Params, rng *stats.RNG, horizon float64, tr Tracer) (Result, 
 		return Result{}, Result{}, err
 	}
 	return std, lg, nil
-}
-
-// Compare is CompareArms without a tracer.
-func Compare(p Params, rng *stats.RNG, horizon float64) (Result, Result, error) {
-	return CompareArms(p, rng, horizon, nil)
-}
-
-// CompareTraced is kept as a thin alias of CompareArms for existing
-// callers.
-func CompareTraced(p Params, rng *stats.RNG, horizon float64, tr Tracer) (Result, Result, error) {
-	return CompareArms(p, rng, horizon, tr)
 }

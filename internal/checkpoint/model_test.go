@@ -91,7 +91,7 @@ func TestIntervalFor(t *testing.T) {
 func TestSimulationBasics(t *testing.T) {
 	p := sampleParams()
 	rng := stats.NewRNG(1)
-	std, err := SimulateStandard(p, rng, testHorizon)
+	std, err := Simulate(p, rng, testHorizon, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSimulationBasics(t *testing.T) {
 		t.Error("standard model used LetGo counters")
 	}
 
-	lg, err := SimulateLetGo(p, stats.NewRNG(2), testHorizon)
+	lg, err := Simulate(p, stats.NewRNG(2), testHorizon, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLetGoImprovesEfficiency(t *testing.T) {
 	for _, app := range PaperApps() {
 		for _, tchk := range []float64{120, 1200} {
 			p := ParamsFor(app, tchk, 0.10, 21600)
-			std, lg, err := Compare(p, stats.NewRNG(42), testHorizon)
+			std, lg, err := CompareArms(p, stats.NewRNG(42), testHorizon, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestLetGoImprovesEfficiency(t *testing.T) {
 	// ~11 absolute points at T_chk=1200).
 	app, _ := PaperAppByName("LULESH")
 	p := ParamsFor(app, 1200, 0.10, 21600)
-	std, lg, err := Compare(p, stats.NewRNG(7), testHorizon)
+	std, lg, err := CompareArms(p, stats.NewRNG(7), testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLetGoImprovesEfficiency(t *testing.T) {
 
 func TestEfficiencyDecreasesWithCheckpointCost(t *testing.T) {
 	app, _ := PaperAppByName("SNAP")
-	pts, err := SweepCheckpointCost(app, []float64{12, 120, 1200}, 0.10, 21600, 5, testHorizon)
+	pts, err := SweepCheckpointCostModelTraced(app, []float64{12, 120, 1200}, nil, 0.10, 21600, 5, testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,11 @@ func TestHPLGainIsMarginal(t *testing.T) {
 	lulesh, _ := PaperAppByName("LULESH")
 	pHPL := ParamsFor(hpl, 1200, 0.10, 21600)
 	pLUL := ParamsFor(lulesh, 1200, 0.10, 21600)
-	stdH, lgH, err := Compare(pHPL, stats.NewRNG(3), testHorizon)
+	stdH, lgH, err := CompareArms(pHPL, stats.NewRNG(3), testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdL, lgL, err := Compare(pLUL, stats.NewRNG(3), testHorizon)
+	stdL, lgL, err := CompareArms(pLUL, stats.NewRNG(3), testHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestHPLGainIsMarginal(t *testing.T) {
 
 func TestSimulationDeterminism(t *testing.T) {
 	p := sampleParams()
-	a, err := SimulateLetGo(p, stats.NewRNG(9), testHorizon)
+	a, err := Simulate(p, stats.NewRNG(9), testHorizon, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateLetGo(p, stats.NewRNG(9), testHorizon)
+	b, err := Simulate(p, stats.NewRNG(9), testHorizon, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestEfficiencyBoundsProperty(t *testing.T) {
 			PLetGo:    float64(pletgo) / 255 * 0.99,
 		}
 		rng := stats.NewRNG(uint64(tchkSel)<<24 | uint64(pcrash)<<16 | uint64(pletgo)<<8 | uint64(pv))
-		std, err := SimulateStandard(p, rng, testHorizon/4)
+		std, err := Simulate(p, rng, testHorizon/4, false, nil)
 		if err != nil {
 			return false
 		}
-		lg, err := SimulateLetGo(p, rng, testHorizon/4)
+		lg, err := Simulate(p, rng, testHorizon/4, true, nil)
 		if err != nil {
 			return false
 		}
@@ -305,7 +305,7 @@ func TestEfficiencyBoundsProperty(t *testing.T) {
 
 func TestSweepScaleValidation(t *testing.T) {
 	app, _ := PaperAppByName("SNAP")
-	if _, err := SweepScale(app, 120, 0.1, []int{0}, 1, testHorizon); err == nil {
+	if _, err := SweepScaleTraced(app, 120, 0.1, []int{0}, 1, testHorizon, nil); err == nil {
 		t.Error("zero node count accepted")
 	}
 }

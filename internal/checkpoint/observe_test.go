@@ -36,12 +36,12 @@ func TestTracedSimulationIsPassive(t *testing.T) {
 	p := ParamsFor(app, 120, 0.10, 21600)
 	const horizon = 3e6
 
-	std1, lg1, err := Compare(p, stats.NewRNG(7), horizon)
+	std1, lg1, err := CompareArms(p, stats.NewRNG(7), horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := newCountingTracer()
-	std2, lg2, err := CompareTraced(p, stats.NewRNG(7), horizon, tr)
+	std2, lg2, err := CompareArms(p, stats.NewRNG(7), horizon, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestObsTracerRecordsTransitions(t *testing.T) {
 	var events bytes.Buffer
 	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events)}
 	tr := NewObsTracer(hub, nil)
-	std, lg, err := CompareTraced(p, stats.NewRNG(3), 1e6, tr)
+	std, lg, err := CompareArms(p, stats.NewRNG(3), 1e6, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestObsTracerRecordsTransitions(t *testing.T) {
 
 	// A nil-sink tracer is safe.
 	nilTr := NewObsTracer(nil, nil)
-	if _, _, err := CompareTraced(p, stats.NewRNG(3), 1e5, nilTr); err != nil {
+	if _, _, err := CompareArms(p, stats.NewRNG(3), 1e5, nilTr); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,11 +3,11 @@
 // that runs several replicas ("ranks") of a workload in lockstep on real
 // simulated machines, injects register bit-flips as a per-rank Poisson
 // process in instruction time, and performs *actual* rollbacks from
-// VM-level snapshots when a rank dies.
+// copy-on-write machine forks when a rank dies.
 //
 // Where internal/checkpoint models the Section-7 system analytically as a
-// state machine, this package executes it: checkpoints are vm.Snapshot
-// copies, recoveries restore every rank, and LetGo (when enabled) elides
+// state machine, this package executes it: checkpoints are vm.Machine
+// forks, recoveries re-fork every rank, and LetGo (when enabled) elides
 // rank crashes in place. It validates the model end to end and realizes
 // the paper's sketch of integrating LetGo with a multi-rank runtime.
 package cluster
@@ -87,7 +87,6 @@ func (r Result) Efficiency() float64 {
 type rank struct {
 	machine   *vm.Machine
 	runner    *core.Runner
-	an        *pin.Analysis
 	rng       *stats.RNG
 	nextFault uint64 // absolute retired-instruction count of the next fault
 	opts      core.Options
@@ -99,7 +98,7 @@ func (cfg *Config) newRank(an *pin.Analysis, rng *stats.RNG) (*rank, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &rank{machine: m, an: an, rng: rng, useLetGo: cfg.UseLetGo}
+	r := &rank{machine: m, rng: rng, useLetGo: cfg.UseLetGo}
 	r.opts = core.Options{Mode: core.ModeEnhanced}
 	if cfg.LetGoOpts != nil {
 		r.opts = *cfg.LetGoOpts
@@ -148,16 +147,15 @@ const (
 
 // advance runs the rank until target retired instructions (or
 // completion/death), injecting scheduled faults on the way.
-func (r *rank) advance(cfg *Config, target uint64, res *Result) (rankStatus, error) {
+func (r *rank) advance(cfg *Config, target uint64, res *Result) rankStatus {
 	for {
-		stop := min64(target, r.nextFault)
-		st := r.runTo(stop)
+		st := r.runTo(min(target, r.nextFault))
 		switch st {
 		case rankDead, rankDone:
-			return st, nil
+			return st
 		}
 		if r.machine.Retired >= target {
-			return rankRunning, nil
+			return rankRunning
 		}
 		// Fault point reached: flip a register and reschedule.
 		r.flipRandomRegister()
@@ -193,13 +191,6 @@ func (r *rank) runTo(target uint64) rankStatus {
 	}
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Run executes the coordinated job to completion (all ranks halt) or
 // until the cost cap is exceeded.
 func Run(cfg Config) (*Result, error) {
@@ -222,22 +213,23 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Coordinated checkpoints: every rank snapshots at the same retired
-	// count. The initial state is checkpoint zero.
-	snaps := make([]*vm.Snapshot, cfg.Ranks)
+	// Coordinated checkpoints: every rank forks at the same retired count,
+	// and the fork is never run. The initial state is checkpoint zero.
+	snaps := make([]*vm.Machine, cfg.Ranks)
 	takeCheckpoint := func() {
 		for i, r := range ranks {
-			snaps[i] = r.machine.Checkpoint()
+			snaps[i] = r.machine.Fork()
 		}
 	}
 	takeCheckpoint()
 	var checkpointAt uint64 // retirement count of the last checkpoint
 
-	rollback := func() error {
+	rollback := func() {
 		res.Rollbacks++
 		res.Cost += cfg.RecoveryCost
 		for i := range ranks {
-			ranks[i].machine.Restore(snaps[i])
+			// The checkpoint stays frozen so it can be restored again.
+			ranks[i].machine = snaps[i].Fork()
 			// A fresh execution after rollback gets a fresh LetGo runner
 			// (the give-up counter applies per continued execution) and a
 			// fresh fault schedule.
@@ -246,7 +238,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			ranks[i].scheduleFault(&cfg, ranks[i].machine.Retired)
 		}
-		return nil
 	}
 
 	for {
@@ -266,11 +257,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		for _, r := range ranks {
-			st, err := r.advance(&cfg, target, res)
-			if err != nil {
-				return nil, err
-			}
-			switch st {
+			switch r.advance(&cfg, target, res) {
 			case rankDead:
 				anyDead = true
 			case rankRunning:
@@ -293,9 +280,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			res.Cost += lost
-			if err := rollback(); err != nil {
-				return nil, err
-			}
+			rollback()
 			continue
 		}
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/apps"
@@ -206,5 +207,35 @@ func TestCostCapAbortsHopelessJob(t *testing.T) {
 	}
 	if res.Useful != 0 || res.Efficiency() != 0 {
 		t.Error("aborted job should report zero useful work")
+	}
+}
+
+// TestPinnedResults pins whole jobs, rollbacks included, number for number
+// (efficiency is Useful/Cost): how a checkpoint is held and restored — a
+// frozen machine fork, forked again on every rollback — must move none.
+func TestPinnedResults(t *testing.T) {
+	for _, tc := range []struct {
+		letgo bool
+		seed  uint64
+		want  Result
+	}{
+		{false, 100, Result{Completed: true, Useful: 313537, Cost: 637666, Checkpoints: 6, Rollbacks: 6, FaultsInjected: 154}},
+		{false, 102, Result{Completed: true, Useful: 313551, Cost: 585613, Checkpoints: 6, Rollbacks: 5, FaultsInjected: 193}},
+		{false, 104, Result{Completed: true, Useful: 313736, Cost: 689736, Checkpoints: 6, Rollbacks: 7, FaultsInjected: 187}},
+		{true, 100, Result{Completed: true, Useful: 311219, Cost: 428436, Checkpoints: 6, Rollbacks: 2, FaultsInjected: 114, CrashesElided: 3}},
+		{true, 107, Result{Completed: true, Useful: 313564, Cost: 429564, Checkpoints: 6, Rollbacks: 2, FaultsInjected: 152, CrashesElided: 3}},
+	} {
+		got, err := Run(Config{
+			Prog: snapProg(t), Ranks: 2, UseLetGo: tc.letgo,
+			CheckpointInterval: 50_000, CheckpointCost: 2_000, RecoveryCost: 2_000,
+			MeanInstrsBetweenFaults: 6_000, Seed: tc.seed, MaxCost: 1 << 28,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.RankMachines = nil
+		if !reflect.DeepEqual(*got, tc.want) {
+			t.Errorf("letgo=%v seed %d:\n got %+v\nwant %+v", tc.letgo, tc.seed, *got, tc.want)
+		}
 	}
 }

@@ -219,15 +219,33 @@ func (g *Golden) PagesCopied() uint64 { return g.pagesCopied }
 // position of every planned injection is computed in one shared pass.
 func (g *Golden) ResolveWhens(sites []pin.Site) ([]uint64, error) {
 	whens := make([]uint64, len(sites))
-	type key struct{ instr, instance uint64 }
-	want := make(map[key][]int, len(sites))
+	// An instruction's occurrence count only goes up, so the wanted
+	// instances of one static index resolve in ascending order: keep them
+	// sorted per index and compare the count against the head alone.
+	type want struct {
+		instance uint64
+		site     int
+	}
+	wants := make([][]want, len(g.counts)) // by static index, ascending instance
+	// Per static index: occurrences so far, and wants[idx][0].instance
+	// (0 = none left), side by side so the hot path touches one line.
+	count := make([]struct{ occ, next uint64 }, len(g.counts))
 	for i, s := range sites {
-		k := key{(s.Addr - isa.CodeBase) / isa.InstrBytes, s.Instance}
-		want[k] = append(want[k], i)
+		// A site outside the code segment or with instance 0 (counts start
+		// at 1) is never reached: it stays in remaining to the end.
+		idx := (s.Addr - isa.CodeBase) / isa.InstrBytes
+		if idx < uint64(len(wants)) && s.Instance > 0 {
+			wants[idx] = append(wants[idx], want{s.Instance, i})
+		}
+	}
+	for idx, w := range wants {
+		if len(w) > 0 {
+			sort.Slice(w, func(a, b int) bool { return w[a].instance < w[b].instance })
+			count[idx].next = w[0].instance
+		}
 	}
 	m, _ := g.ForkAt(0)
-	occ := make([]uint64, len(g.counts))
-	remaining := len(want)
+	remaining := len(sites)
 	// Site matching is a Before-hook configuration of the shared driver:
 	// each about-to-execute instruction bumps its occurrence counter and,
 	// on a match, records the machine's current retirement count. The hook
@@ -235,12 +253,20 @@ func (g *Golden) ResolveWhens(sites []pin.Site) ([]uint64, error) {
 	stop := vm.Drive(m, math.MaxUint64, vm.Hooks{
 		Before: func(m *vm.Machine) bool {
 			idx := (m.PC - isa.CodeBase) / isa.InstrBytes
-			occ[idx]++
-			if idxs, ok := want[key{idx, occ[idx]}]; ok {
-				for _, j := range idxs {
-					whens[j] = m.Retired
-				}
+			c := &count[idx]
+			c.occ++
+			if c.occ != c.next {
+				return false
+			}
+			w := wants[idx]
+			for len(w) > 0 && w[0].instance == c.occ {
+				whens[w[0].site] = m.Retired
 				remaining--
+				w = w[1:]
+			}
+			wants[idx], c.next = w, 0
+			if len(w) > 0 {
+				c.next = w[0].instance
 			}
 			return remaining == 0
 		},

@@ -109,45 +109,6 @@ func TestAdaptiveThinningBoundsWaypoints(t *testing.T) {
 	}
 }
 
-func TestResolveWhensMatchesBreakpointCounting(t *testing.T) {
-	g := record(t, "CLAMR", 0)
-	prof := g.Profile()
-	// Pick a handful of sites across the execution.
-	var sites []pin.Site
-	for _, dyn := range []uint64{0, 1, prof.Total / 3, prof.Total / 2, prof.Total - 1} {
-		s, err := prof.SiteOf(dyn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites = append(sites, s)
-	}
-	whens, err := g.ResolveWhens(sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sites {
-		// Reference: breakpoint with ignore count, from PC 0.
-		m, err := vm.New(g.Prog, vm.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := debug.New(m)
-		if _, err := d.SetBreakpoint(s.Addr, s.Instance-1); err != nil {
-			t.Fatal(err)
-		}
-		if stop := d.Run(1 << 32); stop.Reason != debug.StopBreakpoint {
-			t.Fatalf("site %d: stop %+v", i, stop)
-		}
-		if m.Retired != whens[i] {
-			t.Fatalf("site %d (%#x #%d): ResolveWhens=%d, breakpoint=%d",
-				i, s.Addr, s.Instance, whens[i], m.Retired)
-		}
-		if m.PC != s.Addr {
-			t.Fatalf("site %d: breakpoint pc %#x != site addr %#x", i, m.PC, s.Addr)
-		}
-	}
-}
-
 func TestConcurrentForkAtIsSafe(t *testing.T) {
 	g := record(t, "SNAP", 500)
 	var wg sync.WaitGroup

@@ -58,9 +58,6 @@ type Worker struct {
 	// Backoff shapes retry delays for coordinator calls (zero value =
 	// defaults).
 	Backoff Backoff
-	// MaxAttempts bounds consecutive failures per coordinator call
-	// before the worker gives up (0 means 20).
-	MaxAttempts int
 
 	// sleepBeforeShip, when non-nil, runs after a unit's execution and
 	// before its records ship — the hook tests use to fake a straggler
@@ -75,6 +72,10 @@ type Worker struct {
 // stay above the coordinator's holdCap: a held request is answered at
 // the cap at the latest, and has to still be listening then.
 const clientTimeout = 30 * time.Second
+
+// maxAttempts bounds consecutive failures per coordinator call before the
+// worker gives up.
+const maxAttempts = 20
 
 // errProtocol marks a 4xx coordinator answer: the request itself is
 // wrong, so retrying it verbatim cannot help.
@@ -98,7 +99,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	for {
 		var camp CampaignResponse
 		asked := time.Now()
-		if err := w.call(ctx, http.MethodGet, "/fabric/campaign?worker="+w.Name, nil, &camp, 0); err != nil {
+		if err := w.call(ctx, http.MethodGet, "/fabric/campaign?worker="+w.Name, nil, &camp, maxAttempts); err != nil {
 			return err
 		}
 		switch {
@@ -144,7 +145,7 @@ func (w *Worker) serveCampaign(ctx context.Context, spec *CampaignSpec) (bool, e
 		var lr LeaseResponse
 		asked := time.Now()
 		err := w.call(ctx, http.MethodPost, "/fabric/lease",
-			LeaseRequest{Worker: w.Name, Generation: spec.Generation}, &lr, 0)
+			LeaseRequest{Worker: w.Name, Generation: spec.Generation}, &lr, maxAttempts)
 		if err != nil {
 			return false, err
 		}
@@ -213,7 +214,7 @@ func (w *Worker) executeUnit(ctx context.Context, c *inject.Campaign, plan *inje
 	var resp CompleteResponse
 	err = w.call(ctx, http.MethodPost, "/fabric/complete",
 		CompleteRequest{Worker: w.Name, Generation: spec.Generation, Unit: lease.ID, Records: records},
-		&resp, 0)
+		&resp, maxAttempts)
 	if err != nil {
 		return err
 	}
@@ -308,15 +309,8 @@ func (w *Worker) idle(ctx context.Context, asked time.Time) bool {
 
 // call performs one coordinator request with retries: exponential
 // backoff with jitter on network errors and 5xx answers, no retry on 4xx
-// (the request itself is wrong) or once ctx ends. attempts 0 selects the
-// worker's MaxAttempts (default 20).
+// (the request itself is wrong) or once ctx ends.
 func (w *Worker) call(ctx context.Context, method, path string, in, out any, attempts int) error {
-	if attempts <= 0 {
-		attempts = w.MaxAttempts
-	}
-	if attempts <= 0 {
-		attempts = 20
-	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {

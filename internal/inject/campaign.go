@@ -126,9 +126,6 @@ type Campaign struct {
 	Seed uint64
 	// Workers bounds the parallel injection workers; 0 means GOMAXPROCS.
 	Workers int
-	// BudgetFactor scales the hang budget relative to the golden dynamic
-	// instruction count; 0 means 3.
-	BudgetFactor float64
 	// Opts overrides the LetGo options derived from Mode (for ablations:
 	// custom fill values, disabled heuristics, retry budgets...). Ignored
 	// for NoLetGo.
@@ -147,9 +144,6 @@ type Campaign struct {
 	// Engine selects the execution substrate; the zero value is the
 	// fork-replay engine (EngineFork).
 	Engine Engine
-	// WaypointEvery overrides the fork engine's waypoint spacing in
-	// retired instructions; 0 means engine.DefaultWaypointEvery.
-	WaypointEvery uint64
 
 	// ShardSpec, when non-zero, restricts Run to one deterministic i/n
 	// slice of the planned injections (see Shard): the process plans the
@@ -421,11 +415,7 @@ func (c *Campaign) registerMetrics() {
 	reg.Help("letgo_analysis_repair_safe_sites", "Destination-writing instructions certified repair-safe, by app.")
 	reg.Help("letgo_analysis_dest_sites", "Reachable destination-writing instructions, by app.")
 	reg.Help("letgo_outcomes_total", "Classified injections by Figure-4 class, across all apps of the invocation.")
-	for _, cl := range []outcome.Class{
-		outcome.Benign, outcome.SDC, outcome.Detected, outcome.Crash,
-		outcome.DoubleCrash, outcome.CBenign, outcome.CSDC, outcome.CDetected,
-		outcome.Hang, outcome.CHang, outcome.HarnessFault,
-	} {
+	for _, cl := range outcome.Classes() {
 		// Materialize every class so dumps and /metrics carry explicit
 		// zeros that line up with the rendered table columns.
 		reg.Counter("letgo_outcomes_total", "class", cl.String())

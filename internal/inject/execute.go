@@ -58,30 +58,29 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > unit.Size() {
-		workers = unit.Size()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, unit.Size()))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	c.phase(PhaseInject)
+	// The inject span ends on every return, so the lanes' worker_chunk
+	// spans always have an enclosing span in a trace.
 	spInject := c.Obs.StartSpan("inject", "app", c.App.Name, "engine", c.Engine.String())
-	results := make([]injResult, c.N)
+	results := make([]Execution, c.N)
 	completed := make([]bool, c.N)
 	resumed, err := c.restore(c.Journal, unit, results, completed)
 	if err != nil {
+		spInject.End()
 		return nil, err
 	}
 
 	estats := EngineStats{Engine: c.Engine.String()}
-	if err := c.runLanes(ctx, p, unit.Indices, workers, results, completed, &estats); err != nil {
+	err = c.runLanes(ctx, p, unit.Indices, workers, results, completed, &estats)
+	spInject.End()
+	if err != nil {
 		return nil, err
 	}
-	spInject.End()
 	if ferr := c.Journal.Flush(); ferr != nil {
 		return nil, ferr
 	}
@@ -121,7 +120,7 @@ func (c *Campaign) reportShard(unit *WorkUnit) {
 }
 
 // aggregate folds the unit's classified injections into a Result.
-func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []injResult, completed []bool, resumed int, estats EngineStats) *Result {
+func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []Execution, completed []bool, resumed int, estats EngineStats) *Result {
 	completedCount := 0
 	for _, ok := range completed {
 		if ok {
@@ -151,24 +150,24 @@ func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []injRe
 		if !completed[i] {
 			continue
 		}
-		res.Counts.Add(r.class)
-		if r.destLive {
-			res.LiveDest.Add(r.class)
+		res.Counts.Add(r.Class)
+		if r.DestLive {
+			res.LiveDest.Add(r.Class)
 		} else {
-			res.DeadDest.Add(r.class)
+			res.DeadDest.Add(r.Class)
 		}
 		if p.stateSet != nil {
-			if r.repairSafe {
-				res.SafeSite.Add(r.class)
+			if r.RepairSafe {
+				res.SafeSite.Add(r.Class)
 			} else {
-				res.UnsafeSite.Add(r.class)
+				res.UnsafeSite.Add(r.Class)
 			}
 		}
-		if r.class.CrashBranch() && r.sig != vm.SIGNONE {
-			res.Signals[r.sig]++
+		if r.Class.CrashBranch() && r.Signal != vm.SIGNONE {
+			res.Signals[r.Signal]++
 		}
-		if r.hasLatency {
-			res.CrashLatencies = append(res.CrashLatencies, r.latency)
+		if r.HasLatency {
+			res.CrashLatencies = append(res.CrashLatencies, r.Latency)
 		}
 	}
 	res.Metrics = outcome.ComputeMetrics(&res.Counts)
@@ -184,7 +183,7 @@ func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []injRe
 
 // restore fills results with the unit's journaled injections and returns
 // how many were restored. Journaled records outside the unit are ignored.
-func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []injResult, completed []bool) (int, error) {
+func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Execution, completed []bool) (int, error) {
 	if j == nil {
 		return 0, nil
 	}
@@ -209,10 +208,10 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []injR
 		if c.Obs != nil {
 			// Keep the engine-independent class tally aligned with the
 			// table a resumed campaign will render.
-			c.Obs.Counter("letgo_outcomes_total", "class", r.class.String()).Inc()
+			c.Obs.Counter("letgo_outcomes_total", "class", r.Class.String()).Inc()
 		}
 		if restoredObs != nil {
-			restoredObs.Restored(i, r.class)
+			restoredObs.Restored(i, r.Class)
 		}
 	}
 	if resumed > 0 && c.Obs != nil {
@@ -227,7 +226,7 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []injR
 // replay machine handed back to the lane plus the engine work the step
 // contributed. The rerun engine leaves everything but r zero.
 type laneStep struct {
-	r    injResult
+	r    Execution
 	cur  *vm.Machine
 	dbg  *debug.Debugger
 	work EngineStats
@@ -305,7 +304,7 @@ func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.M
 // site, re-forked from a waypoint only when one leapfrogs it) and replays
 // at most one golden run per lane. Lane assignment is a pure function of
 // (plan, unit, W), so every engine count repeats exactly across runs.
-func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, workers int, results []injResult, completed []bool, estats *EngineStats) error {
+func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, workers int, results []Execution, completed []bool, estats *EngineStats) error {
 	order, fork := idx, c.Engine != EngineRerun
 	var whens []uint64
 	if fork {
@@ -376,9 +375,10 @@ func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, 
 				}
 				cur, curDbg = out.cur, out.dbg
 				st.add(out.work)
+				out.r.Index, out.r.Worker = i, w
 				results[i] = out.r
 				completed[i] = true
-				c.finish(i, w, out.r, quar, stack)
+				c.finish(out.r, quar, stack)
 			}
 			if cur != nil {
 				st.PagesCopied += cur.Mem.CopiedPages()
@@ -399,7 +399,7 @@ func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, 
 
 // quarantine converts a harness fault on injection i into its quarantine
 // outcome class and records it in the obs sinks.
-func (c *Campaign) quarantine(i int, reason, stack string) injResult {
+func (c *Campaign) quarantine(i int, reason, stack string) Execution {
 	class := outcome.CHang
 	if reason == quarPanic {
 		class = outcome.HarnessFault
@@ -411,56 +411,60 @@ func (c *Campaign) quarantine(i int, reason, stack string) injResult {
 		}
 		c.Obs.Emit(obs.QuarantineEvent{App: c.App.Name, Index: i, Reason: reason, Stack: stack})
 	}
-	return injResult{class: class}
+	return Execution{Class: class}
 }
 
 // finish journals and reports one classified injection.
-func (c *Campaign) finish(i, w int, r injResult, quar, stack string) {
+func (c *Campaign) finish(e Execution, quar, stack string) {
 	// Engine-independent per-class tally: both engines route every
 	// classified injection through here, so /metrics agrees with the
 	// rendered table.
 	if c.Obs != nil {
-		c.Obs.Counter("letgo_outcomes_total", "class", r.class.String()).Inc()
+		c.Obs.Counter("letgo_outcomes_total", "class", e.Class.String()).Inc()
 	}
 	if c.Journal != nil {
 		// Append errors are not fatal mid-campaign: the record stays in
 		// memory and the terminal Flush (whose error does surface)
 		// retries the write.
-		c.Journal.Append(c.record(i, r, quar, stack))
+		c.Journal.Append(c.record(e, quar, stack))
 		if c.Obs != nil {
 			c.Obs.Counter("letgo_resume_journaled_total").Inc()
 		}
 	}
-	c.executed(i, w, r)
+	if c.Observer != nil {
+		c.Observer.Executed(e)
+	}
 }
 
 // record converts one classified injection into its journal form.
-func (c *Campaign) record(i int, r injResult, quar, stack string) resilience.Record {
+func (c *Campaign) record(e Execution, quar, stack string) resilience.Record {
 	sig := ""
-	if r.sig != vm.SIGNONE {
-		sig = r.sig.String()
+	if e.Signal != vm.SIGNONE {
+		sig = e.Signal.String()
 	}
 	return resilience.Record{
-		Key: c.journalKey(), Index: i, Class: r.class.String(), Signal: sig,
-		DestLive: r.destLive, RepairSafe: r.repairSafe,
-		Latency: r.latency, HasLatency: r.hasLatency,
-		Retired: r.retired, Quarantine: quar, Stack: stack,
+		Key: c.journalKey(), Index: e.Index, Class: e.Class.String(), Signal: sig,
+		DestLive: e.DestLive, RepairSafe: e.RepairSafe,
+		Latency: e.Latency, HasLatency: e.HasLatency,
+		Retired: e.Retired, Quarantine: quar, Stack: stack,
 	}
 }
 
-// resultFromRecord inverts record.
-func resultFromRecord(rec resilience.Record) (injResult, error) {
+// resultFromRecord inverts record (the journal does not say which worker
+// ran the injection).
+func resultFromRecord(rec resilience.Record) (Execution, error) {
 	class, err := outcome.ParseClass(rec.Class)
 	if err != nil {
-		return injResult{}, err
+		return Execution{}, err
 	}
 	sig, err := parseSignal(rec.Signal)
 	if err != nil {
-		return injResult{}, err
+		return Execution{}, err
 	}
-	return injResult{
-		class: class, sig: sig, destLive: rec.DestLive, repairSafe: rec.RepairSafe,
-		latency: rec.Latency, hasLatency: rec.HasLatency, retired: rec.Retired,
+	return Execution{
+		Index: rec.Index, Class: class, Signal: sig,
+		DestLive: rec.DestLive, RepairSafe: rec.RepairSafe,
+		Latency: rec.Latency, HasLatency: rec.HasLatency, Retired: rec.Retired,
 	}, nil
 }
 
@@ -478,28 +482,6 @@ func parseSignal(s string) (vm.Signal, error) {
 	return vm.SIGNONE, fmt.Errorf("inject: unknown signal %q", s)
 }
 
-// executed delivers one classified injection to the observer, if any.
-func (c *Campaign) executed(i, w int, r injResult) {
-	if c.Observer != nil {
-		c.Observer.Executed(Execution{
-			Index: i, Worker: w, Class: r.class, Signal: r.sig,
-			DestLive: r.destLive, RepairSafe: r.repairSafe,
-			Retired: r.retired, Latency: r.latency, HasLatency: r.hasLatency,
-		})
-	}
-}
-
-// injResult is the classified observation of one injection.
-type injResult struct {
-	class      outcome.Class
-	sig        vm.Signal
-	destLive   bool
-	repairSafe bool
-	latency    uint64
-	hasLatency bool
-	retired    uint64
-}
-
 // one executes and classifies a single injection on the rerun engine.
 func (c *Campaign) one(p *PlannedCampaign, plan Plan) (laneStep, error) {
 	spExec := c.Obs.StartSpan("execute", "engine", "rerun")
@@ -515,10 +497,10 @@ func (c *Campaign) one(p *PlannedCampaign, plan Plan) (laneStep, error) {
 // classify applies the app-level acceptance check and golden comparison
 // to a raw run outcome, and then drops the machine reference from ro, so a
 // finished run's page tables become collectable while the campaign is
-// still executing (campaigns hold every injResult until aggregation, and N
+// still executing (campaigns hold every Execution until aggregation, and N
 // machines' worth of dirty pages is the difference between a flat and a
 // linearly growing footprint).
-func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, error) {
+func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (Execution, error) {
 	defer c.Obs.StartSpan("classify").End()
 	rec := outcome.RunRecord{
 		Finished: ro.Finished,
@@ -532,13 +514,13 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, erro
 	if ro.Finished {
 		pass, err := c.App.Accept(ro.Machine)
 		if err != nil {
-			return injResult{}, err
+			return Execution{}, err
 		}
 		rec.CheckPassed = pass
 		if pass {
 			out, err := c.App.Output(ro.Machine)
 			if err != nil {
-				return injResult{}, err
+				return Execution{}, err
 			}
 			rec.MatchesGolden = c.App.MatchesGolden(out, p.goldenOut)
 		}
@@ -548,13 +530,13 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, erro
 	if p.stateSet != nil {
 		repairSafe, _ = p.stateSet.RepairSafeAt(ro.Plan.Site.Addr)
 	}
-	return injResult{
-		class:      outcome.Classify(rec),
-		sig:        sig,
-		destLive:   ro.DestLive,
-		repairSafe: repairSafe,
-		latency:    ro.CrashLatency,
-		hasLatency: ro.HasLatency,
-		retired:    ro.Retired,
+	return Execution{
+		Class:      outcome.Classify(rec),
+		Signal:     sig,
+		DestLive:   ro.DestLive,
+		RepairSafe: repairSafe,
+		Latency:    ro.CrashLatency,
+		HasLatency: ro.HasLatency,
+		Retired:    ro.Retired,
 	}, nil
 }

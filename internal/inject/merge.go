@@ -3,9 +3,7 @@ package inject
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"github.com/letgo-hpc/letgo/internal/pin"
 	"github.com/letgo-hpc/letgo/internal/resilience"
 )
 
@@ -23,10 +21,10 @@ func (c *Campaign) Merge(j *resilience.Journal) (*Result, error) {
 // resilience.MergeFiles) and renders the campaign's final Result without
 // executing a single injection. The plan-level facts a Result carries
 // beyond the journal — golden instruction count, memory-dependency
-// analysis sizes — are recomputed with a cheap plan-lite pass (compile,
-// analysis, one plain golden run; no profiling, no plan sampling, no
-// waypoints), which determinism guarantees agree with what every shard
-// derived.
+// analysis sizes — are recomputed with the Plan stage's own front half
+// (prepare: compile, analysis, one plain golden run; no profiling, no plan
+// sampling, no waypoints), which determinism guarantees agree with what
+// every shard derived.
 //
 // When the journals cover all N injections the merged Result — and the
 // table rendered from it — is byte-identical to a single-process run's.
@@ -45,61 +43,20 @@ func (c *Campaign) MergeContext(ctx context.Context, j *resilience.Journal) (res
 		curPhase = name
 		c.phase(name)
 	}
-	if c.App == nil || c.N <= 0 {
-		return nil, fmt.Errorf("inject: campaign needs an app and a positive N")
-	}
 	if j == nil {
 		return nil, fmt.Errorf("inject: merge needs a journal")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.registerMetrics()
-	p := &PlannedCampaign{Key: c.journalKey(), Engine: c.Engine, start: time.Now()}
-
-	setPhase(PhaseCompile)
-	spCompile := c.Obs.StartSpan("compile", "app", c.App.Name)
-	prog, err := c.App.Compile()
+	p, err := c.prepare(ctx, setPhase, "merge", false)
 	if err != nil {
-		return nil, err
-	}
-	p.prog = prog
-	p.an = pin.Analyze(prog)
-	spCompile.End()
-	if err := c.analyze(p); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	setPhase(PhaseGolden)
-	spGolden := c.Obs.StartSpan("golden", "app", c.App.Name, "engine", "merge")
-	gm, err := c.App.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if err := gm.Run(profileBudget); err != nil {
-		return nil, fmt.Errorf("inject: golden run of %s: %w", c.App.Name, err)
-	}
-	if err := c.checkGolden(p, gm); err != nil {
-		return nil, err
-	}
-	spGolden.End()
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	setPhase(PhaseMerge)
 	spMerge := c.Obs.StartSpan("merge", "app", c.App.Name)
-	// The whole-campaign unit without plans: merge consumes journal
-	// records only, so the unit is just the index universe [0, N).
-	unit := &WorkUnit{Key: p.Key, Indices: make([]int, c.N), member: make([]bool, c.N)}
-	for i := range unit.Indices {
-		unit.Indices[i] = i
-		unit.member[i] = true
-	}
-	results := make([]injResult, c.N)
+	// Merge consumes journal records only, so the unit is just the index
+	// universe [0, N); no plan list exists.
+	unit := wholeUnit(p.Key, c.N)
+	results := make([]Execution, c.N)
 	completed := make([]bool, c.N)
 	restored, err := c.restore(j, unit, results, completed)
 	if err != nil {

@@ -1,6 +1,8 @@
 package inject
 
 import (
+	"strconv"
+
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/outcome"
 	"github.com/letgo-hpc/letgo/internal/stats"
@@ -101,11 +103,7 @@ func (o *obsObserver) Done(res *Result) {
 	o.hub.Gauge("letgo_campaign_continuability", "app", o.app).Set(res.Metrics.Continuability)
 	o.hub.Gauge("letgo_campaign_median_crash_latency_instructions", "app", o.app).
 		Set(float64(stats.MedianUint64(res.CrashLatencies)))
-	for _, cl := range []outcome.Class{
-		outcome.Benign, outcome.SDC, outcome.Detected, outcome.Crash,
-		outcome.DoubleCrash, outcome.CBenign, outcome.CSDC, outcome.CDetected,
-		outcome.Hang, outcome.CHang, outcome.HarnessFault,
-	} {
+	for _, cl := range outcome.Classes() {
 		// Materialize every class so dumps carry explicit zeros.
 		o.hub.Counter("letgo_injections_total", "app", o.app, "class", cl.String()).Add(0)
 	}
@@ -123,19 +121,10 @@ func (o *obsObserver) Failed(phase string, err error) {
 	o.prog.Finish()
 }
 
-// workerLabel formats a worker index without fmt in the hot path.
+// workerLabel formats a worker index as a metric label.
 func workerLabel(w int) string {
 	if w < 0 {
 		return "?"
 	}
-	const digits = "0123456789"
-	if w < 10 {
-		return digits[w : w+1]
-	}
-	buf := make([]byte, 0, 4)
-	for w > 0 {
-		buf = append([]byte{digits[w%10]}, buf...)
-		w /= 10
-	}
-	return string(buf)
+	return strconv.Itoa(w)
 }

@@ -27,7 +27,7 @@ import (
 // hang budget, and the full pre-sampled injection plan list.
 //
 // The stage is deterministic: for a fixed (App, Mode, N, Seed, Model,
-// Engine, WaypointEvery) every process computes the same PlannedCampaign,
+// Engine) every process computes the same PlannedCampaign,
 // which is what lets independent shard processes each plan locally and
 // still partition one coherent campaign (see Shard). Manifest exposes the
 // serializable essence of the plan for provenance checks across
@@ -156,7 +156,10 @@ func ParsePlanManifest(data []byte) (PlanManifest, error) {
 // PlanContext runs the pipeline's Plan stage in isolation: compile,
 // memory-dependency analysis, golden run, profile, and plan sampling,
 // with no injection executed. Run composes it with Shard and Execute;
-// callers that split a campaign across processes call it directly.
+// callers that split a campaign across processes call it directly. The
+// fork engine records its golden run once with waypoint snapshots and
+// observes the profile on the way; the rerun engine executes it plainly
+// and pays a second execution for profiling.
 func (c *Campaign) PlanContext(ctx context.Context) (p *PlannedCampaign, err error) {
 	curPhase := ""
 	defer func() {
@@ -164,15 +167,51 @@ func (c *Campaign) PlanContext(ctx context.Context) (p *PlannedCampaign, err err
 			c.Observer.Failed(curPhase, err)
 		}
 	}()
-	return c.plan(ctx, func(name string) {
+	setPhase := func(name string) {
 		curPhase = name
 		c.phase(name)
-	})
+	}
+	if p, err = c.prepare(ctx, setPhase, c.Engine.String(), c.Engine != EngineRerun); err != nil {
+		return nil, err
+	}
+
+	// Profiling phase (Section 5.4).
+	setPhase(PhaseProfile)
+	spProfile := c.Obs.StartSpan("profile", "app", c.App.Name, "engine", c.Engine.String())
+	if c.Engine == EngineRerun {
+		if p.prof, err = p.an.ProfileRun(vm.Config{}, profileBudget); err != nil {
+			return nil, err
+		}
+	} else {
+		p.prof = p.gold.Profile()
+	}
+	spProfile.End()
+
+	// Pre-sample all plans from the root RNG so results do not depend on
+	// worker scheduling — or, since the sampling is a pure function of
+	// the seed, on which process executes which plan.
+	setPhase(PhasePlan)
+	spPlan := c.Obs.StartSpan("plan", "app", c.App.Name)
+	rng := stats.NewRNG(c.Seed)
+	p.Plans = make([]Plan, c.N)
+	for i := range p.Plans {
+		if p.Plans[i], err = SamplePlanModel(p.prog, p.prof, rng, c.Model); err != nil {
+			return nil, err
+		}
+		if c.Observer != nil {
+			c.Observer.Planned(i, p.Plans[i])
+		}
+	}
+	spPlan.End()
+	return p, nil
 }
 
-// plan is the Plan stage body, shared by PlanContext and the Run facade
-// (which owns its own failure reporting).
-func (c *Campaign) plan(ctx context.Context, setPhase func(string)) (*PlannedCampaign, error) {
+// prepare is the front half the Plan and Merge stages share: validate,
+// compile, analyse, execute the golden run (recorded with waypoints for
+// the fork engine when record is set, plainly otherwise), check its
+// acceptance and derive the hang budget. engineLabel names the golden span's
+// engine attribute.
+func (c *Campaign) prepare(ctx context.Context, setPhase func(string), engineLabel string, record bool) (*PlannedCampaign, error) {
 	if c.App == nil || c.N <= 0 {
 		return nil, fmt.Errorf("inject: campaign needs an app and a positive N")
 	}
@@ -202,67 +241,36 @@ func (c *Campaign) plan(ctx context.Context, setPhase func(string)) (*PlannedCam
 		return nil, err
 	}
 
-	// Golden run: acceptance data and output to compare against. The fork
-	// engine records it once with waypoint snapshots; the rerun engine
-	// executes it plainly (and will pay a second execution for profiling).
+	// Golden run: acceptance data and output to compare against.
 	setPhase(PhaseGolden)
-	spGolden := c.Obs.StartSpan("golden", "app", c.App.Name, "engine", c.Engine.String())
+	spGolden := c.Obs.StartSpan("golden", "app", c.App.Name, "engine", engineLabel)
 	var gm *vm.Machine
-	if c.Engine == EngineRerun {
-		if gm, err = c.App.NewMachine(); err != nil {
+	if record {
+		if p.gold, err = engine.RecordObs(prog, vm.Config{}, 0, profileBudget, c.Obs); err != nil {
+			return nil, fmt.Errorf("inject: golden run of %s: %w", c.App.Name, err)
+		}
+		gm = p.gold.ForkFinal()
+	} else {
+		if gm, err = vm.New(prog, vm.Config{}); err != nil {
 			return nil, err
 		}
 		if err := gm.Run(profileBudget); err != nil {
 			return nil, fmt.Errorf("inject: golden run of %s: %w", c.App.Name, err)
 		}
-	} else {
-		if p.gold, err = engine.RecordObs(prog, vm.Config{}, c.WaypointEvery, profileBudget, c.Obs); err != nil {
-			return nil, fmt.Errorf("inject: golden run of %s: %w", c.App.Name, err)
-		}
-		gm = p.gold.ForkFinal()
 	}
 	if err := c.checkGolden(p, gm); err != nil {
 		return nil, err
 	}
 	spGolden.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Profiling phase (Section 5.4). The fork engine observed the profile
-	// while recording; the rerun engine runs the program again to count.
-	setPhase(PhaseProfile)
-	spProfile := c.Obs.StartSpan("profile", "app", c.App.Name, "engine", c.Engine.String())
-	if c.Engine == EngineRerun {
-		if p.prof, err = p.an.ProfileRun(vm.Config{}, profileBudget); err != nil {
-			return nil, err
-		}
-	} else {
-		p.prof = p.gold.Profile()
-	}
-	spProfile.End()
-
-	// Pre-sample all plans from the root RNG so results do not depend on
-	// worker scheduling — or, since the sampling is a pure function of
-	// the seed, on which process executes which plan.
-	setPhase(PhasePlan)
-	spPlan := c.Obs.StartSpan("plan", "app", c.App.Name)
-	rng := stats.NewRNG(c.Seed)
-	p.Plans = make([]Plan, c.N)
-	for i := range p.Plans {
-		if p.Plans[i], err = SamplePlanModel(prog, p.prof, rng, c.Model); err != nil {
-			return nil, err
-		}
-		if c.Observer != nil {
-			c.Observer.Planned(i, p.Plans[i])
-		}
-	}
-	spPlan.End()
-	return p, nil
+	return p, ctx.Err()
 }
 
 // profileBudget bounds the golden and profiling executions.
 const profileBudget = 1 << 32
+
+// budgetFactor scales the per-injection hang budget relative to the golden
+// dynamic instruction count.
+const budgetFactor = 3
 
 // analyze runs the memory-dependency analysis for apps that declare
 // acceptance globals and records the derived facts on p.
@@ -285,10 +293,6 @@ func (c *Campaign) analyze(p *PlannedCampaign) error {
 // checkGolden validates the golden machine's acceptance, captures the
 // golden output, and derives the hang budget.
 func (c *Campaign) checkGolden(p *PlannedCampaign, gm *vm.Machine) error {
-	factor := c.BudgetFactor
-	if factor == 0 {
-		factor = 3
-	}
 	goldenOK, err := c.App.Accept(gm)
 	if err != nil {
 		return err
@@ -300,6 +304,6 @@ func (c *Campaign) checkGolden(p *PlannedCampaign, gm *vm.Machine) error {
 		return err
 	}
 	p.GoldenRetired = gm.Retired
-	p.Budget = uint64(float64(gm.Retired)*factor) + 100_000
+	p.Budget = budgetFactor*gm.Retired + 100_000
 	return nil
 }

@@ -130,18 +130,23 @@ func (p *PlannedCampaign) Shard(spec ShardSpec) (*WorkUnit, error) {
 		return nil, err
 	}
 	n := len(p.Plans)
-	u := &WorkUnit{Key: p.Key, Spec: spec, member: make([]bool, n)}
 	if spec.IsZero() {
-		u.Indices = make([]int, n)
-		for i := range u.Indices {
-			u.Indices[i] = i
-			u.member[i] = true
-		}
-		return u, nil
+		return wholeUnit(p.Key, n), nil
 	}
+	u := &WorkUnit{Key: p.Key, Spec: spec, member: make([]bool, n)}
 	for i := spec.Index - 1; i < n; i += spec.Count {
 		u.Indices = append(u.Indices, i)
 		u.member[i] = true
 	}
 	return u, nil
+}
+
+// wholeUnit is the unsharded unit: every index in [0, n).
+func wholeUnit(key resilience.Key, n int) *WorkUnit {
+	u := &WorkUnit{Key: key, Indices: make([]int, n), member: make([]bool, n)}
+	for i := range u.Indices {
+		u.Indices[i] = i
+		u.member[i] = true
+	}
+	return u
 }

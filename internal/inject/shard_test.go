@@ -288,3 +288,45 @@ func TestShardWriterIdentity(t *testing.T) {
 		t.Errorf("merge over shards 1,3 of 9 completed %d, want 6", r.Completed)
 	}
 }
+
+// TestMergeAgreesWithRunOnPreparedFacts names the plan-level facts a
+// Result carries beyond its journal records: Run and Merge both take them
+// from the one prepare step, so a Merge over the journal a Run wrote must
+// report the same — and non-zero — values.
+func TestMergeAgreesWithRunOnPreparedFacts(t *testing.T) {
+	app, ok := apps.ByName("LULESH")
+	if !ok {
+		t.Fatal("no LULESH app")
+	}
+	j, err := resilience.Create(filepath.Join(t.TempDir(), "run.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := inject.Campaign{App: app, Mode: inject.LetGoE, N: 8, Seed: 3, Workers: 2, Journal: j}
+	ran, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := inject.Campaign{App: app, Mode: inject.LetGoE, N: 8, Seed: 3}
+	merged, err := mc.Merge(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Interrupted || merged.Completed != 8 {
+		t.Fatalf("merge over a complete journal: %+v", merged)
+	}
+	type facts struct {
+		GoldenRetired, DerivedBytes, FullBytes uint64
+		AnalysisRegions, AnalysisLiveRegions   int
+	}
+	factsOf := func(r *inject.Result) facts {
+		return facts{r.GoldenRetired, r.DerivedBytes, r.FullBytes, r.AnalysisRegions, r.AnalysisLiveRegions}
+	}
+	got, want := factsOf(merged), factsOf(ran)
+	if got != want {
+		t.Errorf("merge reports %+v, the run that wrote the journal %+v", got, want)
+	}
+	if want.GoldenRetired == 0 || want.DerivedBytes == 0 || want.FullBytes == 0 || want.AnalysisRegions == 0 {
+		t.Errorf("prepared facts missing from the run's result: %+v", want)
+	}
+}

@@ -47,6 +47,16 @@ var classNames = [NumClasses]string{
 	"C-Hang", "C-HarnessFault",
 }
 
+// Classes returns every class, quarantine classes included, in
+// declaration (Figure-4) order.
+func Classes() []Class {
+	all := make([]Class, NumClasses)
+	for i := range all {
+		all[i] = Class(i)
+	}
+	return all
+}
+
 func (c Class) String() string {
 	if c < NumClasses {
 		return classNames[c]

@@ -175,6 +175,16 @@ func (r CampaignRow) cells() []string {
 
 // Campaigns renders a set of campaign rows in the requested format.
 func Campaigns(w io.Writer, format Format, rows []CampaignRow) error {
+	return render(w, format, campaignHeaders, rows)
+}
+
+// render writes rows in the requested format: the rows themselves as
+// JSON, their cells under headers otherwise.
+func render[R interface{ cells() []string }](w io.Writer, format Format, headers []string, rows []R) error {
+	cells := make([][]string, len(rows))
+	for i, r := range rows {
+		cells[i] = r.cells()
+	}
 	switch format {
 	case JSON:
 		enc := json.NewEncoder(w)
@@ -182,30 +192,22 @@ func Campaigns(w io.Writer, format Format, rows []CampaignRow) error {
 		return enc.Encode(rows)
 	case CSV:
 		cw := csv.NewWriter(w)
-		if err := cw.Write(campaignHeaders); err != nil {
+		if err := cw.Write(headers); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			if err := cw.Write(r.cells()); err != nil {
+		for _, c := range cells {
+			if err := cw.Write(c); err != nil {
 				return err
 			}
 		}
 		cw.Flush()
 		return cw.Error()
 	case Markdown:
-		return markdownTable(w, campaignHeaders, rowsToCells(rows))
+		return markdownTable(w, headers, cells)
 	case Text:
-		return textTable(w, campaignHeaders, rowsToCells(rows))
+		return textTable(w, headers, cells)
 	}
 	return fmt.Errorf("report: unknown format %q", format)
-}
-
-func rowsToCells(rows []CampaignRow) [][]string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.cells()
-	}
-	return out
 }
 
 // SimRow is the serializable view of one C/R simulation comparison point.
@@ -255,91 +257,7 @@ func (r SimRow) cells() []string {
 
 // Sims renders simulation sweep rows.
 func Sims(w io.Writer, format Format, rows []SimRow) error {
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		cells[i] = r.cells()
-	}
-	switch format {
-	case JSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rows)
-	case CSV:
-		cw := csv.NewWriter(w)
-		if err := cw.Write(simHeaders); err != nil {
-			return err
-		}
-		for _, c := range cells {
-			if err := cw.Write(c); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	case Markdown:
-		return markdownTable(w, simHeaders, cells)
-	case Text:
-		return textTable(w, simHeaders, cells)
-	}
-	return fmt.Errorf("report: unknown format %q", format)
-}
-
-// StateRow is the serializable view of one app's derived checkpoint
-// state set (the memory-dependency analysis summary).
-type StateRow struct {
-	App          string  `json:"app"`
-	Regions      int     `json:"regions"`
-	LiveRegions  int     `json:"live_regions"`
-	DerivedBytes uint64  `json:"derived_bytes"`
-	FullBytes    uint64  `json:"full_bytes"`
-	DerivedFrac  float64 `json:"derived_frac"`
-	SafeSites    int     `json:"safe_sites"`
-	DestSites    int     `json:"dest_sites"`
-}
-
-var stateHeaders = []string{
-	"app", "regions", "live_regions", "derived_bytes", "full_bytes",
-	"derived_frac", "safe_sites", "dest_sites",
-}
-
-func (r StateRow) cells() []string {
-	return []string{
-		r.App, fmt.Sprintf("%d", r.Regions), fmt.Sprintf("%d", r.LiveRegions),
-		fmt.Sprintf("%d", r.DerivedBytes), fmt.Sprintf("%d", r.FullBytes),
-		fmt.Sprintf("%.4f%%", 100*r.DerivedFrac),
-		fmt.Sprintf("%d", r.SafeSites), fmt.Sprintf("%d", r.DestSites),
-	}
-}
-
-// States renders derived checkpoint state-set rows.
-func States(w io.Writer, format Format, rows []StateRow) error {
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		cells[i] = r.cells()
-	}
-	switch format {
-	case JSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rows)
-	case CSV:
-		cw := csv.NewWriter(w)
-		if err := cw.Write(stateHeaders); err != nil {
-			return err
-		}
-		for _, c := range cells {
-			if err := cw.Write(c); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	case Markdown:
-		return markdownTable(w, stateHeaders, cells)
-	case Text:
-		return textTable(w, stateHeaders, cells)
-	}
-	return fmt.Errorf("report: unknown format %q", format)
+	return render(w, format, simHeaders, rows)
 }
 
 // markdownTable writes a GitHub-flavoured markdown table.

@@ -10,8 +10,10 @@ package vm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -27,7 +29,7 @@ type outcome struct {
 	kind    string // "halt" | "budget" | "trap" | "err"
 	trapMsg string // trap.Error() when kind == "trap"
 	err     string
-	state   []byte // serialized Snapshot: registers, PC, retired, memory
+	state   []byte // fingerprint: registers, PC, retired, memory
 	output  []byte
 }
 
@@ -66,6 +68,34 @@ func runDrive(m *vm.Machine, budget uint64) (string, string, string) {
 	return "err", "", stop.Err.Error()
 }
 
+// fingerprint appends m's full architectural state to w: both register
+// files as bit patterns, PC, retired count, halt flag, and every mapped
+// segment's bounds and bytes.
+func fingerprint(t *testing.T, w *bytes.Buffer, m *vm.Machine) {
+	t.Helper()
+	var b8 [8]byte
+	put := func(v uint64) { binary.LittleEndian.PutUint64(b8[:], v); w.Write(b8[:]) }
+	for _, x := range m.X {
+		put(x)
+	}
+	for _, f := range m.F {
+		put(math.Float64bits(f))
+	}
+	put(m.PC)
+	put(m.Retired)
+	fmt.Fprintf(w, "%v", m.Halted)
+	for _, seg := range m.Mem.Segments() {
+		w.WriteString(seg.Name)
+		put(seg.Base)
+		put(seg.Size)
+		data, err := m.Mem.ReadBytes(seg.Base, seg.Size)
+		if err != nil {
+			t.Fatalf("reading segment %q: %v", seg.Name, err)
+		}
+		w.Write(data)
+	}
+}
+
 func capture(t *testing.T, prog *isa.Program, budget uint64,
 	run func(*vm.Machine, uint64) (string, string, string)) outcome {
 	t.Helper()
@@ -76,9 +106,7 @@ func capture(t *testing.T, prog *isa.Program, budget uint64,
 	}
 	kind, trapMsg, errMsg := run(m, budget)
 	var state bytes.Buffer
-	if _, err := m.Checkpoint().WriteTo(&state); err != nil {
-		t.Fatalf("serializing state: %v", err)
-	}
+	fingerprint(t, &state, m)
 	return outcome{kind: kind, trapMsg: trapMsg, err: errMsg,
 		state: state.Bytes(), output: out.Bytes()}
 }
@@ -336,9 +364,7 @@ func (r sparseRun) run(t *testing.T, path beforePath) transcript {
 		stop := vm.Drive(m, r.budget, h)
 		fmt.Fprintf(&text, "stop %v trap %v err %v\n", stop.Reason, stop.Trap, stop.Err)
 		log.WriteString(text.String())
-		if _, err := m.Checkpoint().WriteTo(&log); err != nil {
-			t.Fatalf("serializing state: %v", err)
-		}
+		fingerprint(t, &log, m)
 		if stop.Reason != vm.StopBefore || calls == 64 {
 			break
 		}

@@ -174,23 +174,102 @@ main:
 	}
 }
 
+// A fork held aside is a checkpoint and a fork of it is the restore
+// (internal/cluster's rollback): the tests below pin that pattern.
+
 func TestCheckpointIsCOWBacked(t *testing.T) {
 	m := forkMachine(t)
 	if err := m.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Checkpoint()
+	s := m.Fork()
 	if s.Mem.CopiedPages() != 0 {
-		t.Fatal("Checkpoint should not copy page bytes")
+		t.Fatal("a checkpoint fork should not copy page bytes")
 	}
-	// Restore twice from the same snapshot; both restores see the
+	// Restore twice from the same checkpoint; both restores see the
 	// checkpointed value even after the machine mutates in between.
-	m.Restore(s)
+	m = s.Fork()
 	if err := m.Mem.Write8(0x10000, 1234); err != nil {
 		t.Fatal(err)
 	}
-	m.Restore(s)
+	m = s.Fork()
 	if v, _ := m.Mem.Read8(0x10000); v != 20 {
 		t.Fatalf("second restore reads %d, want 20", v)
+	}
+}
+
+// checkpointProg counts to a large number so we can checkpoint mid-run.
+func checkpointProg() *isa.Program {
+	return prog(
+		isa.Instruction{Op: isa.LI, Rd: isa.X1, Imm: 0},                             // 0
+		isa.Instruction{Op: isa.LI, Rd: isa.X2, Imm: 1 << 16},                       // 1
+		isa.Instruction{Op: isa.BGE, Rs1: isa.X1, Rs2: isa.X2, Imm: int64(addr(5))}, // 2
+		isa.Instruction{Op: isa.ADDI, Rd: isa.X1, Rs1: isa.X1, Imm: 1},              // 3
+		isa.Instruction{Op: isa.JMP, Imm: int64(addr(2))},                           // 4
+		isa.Instruction{Op: isa.HALT},                                               // 5
+	)
+}
+
+func TestCheckpointRestoreRoundTrip(t *testing.T) {
+	m := newMachine(t, checkpointProg())
+	// Run part way, checkpoint, run to completion.
+	for m.Retired < 1000 {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Mem.WriteFloat(isa.GlobalBase+64, 3.5); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Fork()
+	midCounter := m.X[isa.X1]
+
+	run(t, m)
+	if !m.Halted {
+		t.Fatal("did not halt")
+	}
+
+	// Roll back and verify the full state returned.
+	m = snap.Fork()
+	if m.Halted || m.Retired != snap.Retired || m.X[isa.X1] != midCounter {
+		t.Fatalf("restore lost state: %+v", m)
+	}
+	v, err := m.Mem.ReadFloat(isa.GlobalBase + 64)
+	if err != nil || v != 3.5 {
+		t.Fatalf("restored memory = %v, %v", v, err)
+	}
+	// The restored machine re-runs to the same completion.
+	run(t, m)
+	if m.X[isa.X1] != 1<<16 {
+		t.Errorf("x1 = %d after re-run", m.X[isa.X1])
+	}
+}
+
+func TestRestoreIsRepeatable(t *testing.T) {
+	m := newMachine(t, checkpointProg())
+	for m.Retired < 500 {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Fork()
+	for attempt := 0; attempt < 3; attempt++ {
+		m = snap.Fork()
+		run(t, m)
+		if m.X[isa.X1] != 1<<16 {
+			t.Fatalf("attempt %d: x1 = %d", attempt, m.X[isa.X1])
+		}
+	}
+}
+
+func TestRestoreIsolatesMemory(t *testing.T) {
+	snap := newMachine(t, prog(isa.Instruction{Op: isa.HALT})).Fork()
+	// Mutating a restored machine must not leak into the checkpoint.
+	if err := snap.Fork().Mem.Write8(isa.GlobalBase, 42); err != nil {
+		t.Fatal(err)
+	}
+	v, err := snap.Fork().Mem.Read8(isa.GlobalBase)
+	if err != nil || v != 0 {
+		t.Fatalf("checkpoint contaminated: %d, %v", v, err)
 	}
 }

@@ -213,12 +213,12 @@ func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 
 // SimulateStandard runs the M-S (no LetGo) C/R state machine.
 func SimulateStandard(p CRParams, rng *RNG, horizon float64) (CRResult, error) {
-	return checkpoint.SimulateStandard(p, rng, horizon)
+	return checkpoint.Simulate(p, rng, horizon, false, nil)
 }
 
 // SimulateLetGo runs the M-L (with LetGo) C/R state machine.
 func SimulateLetGo(p CRParams, rng *RNG, horizon float64) (CRResult, error) {
-	return checkpoint.SimulateLetGo(p, rng, horizon)
+	return checkpoint.Simulate(p, rng, horizon, true, nil)
 }
 
 // PaperApps returns the C/R probabilities derived from the paper's own
