@@ -1,0 +1,130 @@
+package letgo
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// goldenCase is one pinned invocation: results/cli/<name>.golden holds
+// the command line, its stdout and its exit code. "$DIR" in an argument
+// is the test's temp directory (journals); the golden shows it unexpanded.
+type goldenCase struct {
+	name string
+	tool string
+	args string
+}
+
+const (
+	goldenCampaign = "-apps CLAMR,HPL -n 40 -seed 11 -workers 2"
+	goldenSim      = "-app CLAMR -seed 11 -horizon 5e6"
+)
+
+// goldenCases run in order: the shard cases write the journals the merge
+// cases read.
+var goldenCases = []goldenCase{
+	{"inject-table-off", "letgo-inject", goldenCampaign + " -mode off"},
+	{"inject-table-B", "letgo-inject", goldenCampaign + " -mode B"},
+	{"inject-table-E", "letgo-inject", goldenCampaign + " -mode E"},
+	{"inject-compare", "letgo-inject", goldenCampaign + " -compare"},
+	{"inject-format-csv", "letgo-inject", goldenCampaign + " -format csv"},
+	{"inject-format-markdown", "letgo-inject", goldenCampaign + " -format markdown"},
+	{"inject-format-json", "letgo-inject", goldenCampaign + " -format json"},
+	{"inject-engine-rerun", "letgo-inject", goldenCampaign + " -engine rerun"},
+	{"inject-shard-1of2", "letgo-inject", goldenCampaign + " -shard 1/2 -journal $DIR/s1.jsonl"},
+	{"inject-shard-2of2", "letgo-inject", goldenCampaign + " -shard 2/2 -journal $DIR/s2.jsonl"},
+	{"inject-merge-text", "letgo-inject", goldenCampaign + " -merge $DIR/s*.jsonl"},
+	{"inject-merge-json", "letgo-inject", goldenCampaign + " -merge $DIR/s*.jsonl -format json"},
+	{"inject-compare-format-csv", "letgo-inject", goldenCampaign + " -compare -format csv"},
+	{"inject-compare-format-markdown", "letgo-inject", goldenCampaign + " -compare -format markdown"},
+	{"inject-compare-format-json", "letgo-inject", goldenCampaign + " -compare -format json"},
+	{"sim-fig7-text", "letgo-sim", goldenSim + " -fig 7"},
+	{"sim-fig7-csv", "letgo-sim", goldenSim + " -fig 7 -format csv"},
+	{"sim-fig8-text", "letgo-sim", goldenSim + " -fig 8"},
+	{"sim-fig8-csv", "letgo-sim", goldenSim + " -fig 8 -format csv"},
+	{"sim-fig0", "letgo-sim", goldenSim + " -fig 0"},
+	{"sim-advise", "letgo-sim", goldenSim + " -advise"},
+	{"run-app-E", "letgo-run", "-app CLAMR -mode E"},
+	{"run-app-off", "letgo-run", "-app CLAMR -mode off"},
+	{"run-mc-E", "letgo-run", "-mode E results/cli/segv.mc"},
+	{"run-mc-off", "letgo-run", "-mode off results/cli/segv.mc"},
+	{"vet-apps-all", "letgo-vet", "-apps all"},
+	{"vet-passes", "letgo-vet", "-passes"},
+	// -h prints to stderr; pinned so a flag name or default cannot move
+	// unnoticed.
+	{"help-inject", "letgo-inject", "-h"},
+	{"help-sim", "letgo-sim", "-h"},
+	{"help-run", "letgo-run", "-h"},
+}
+
+// TestCLIGolden rebuilds the commands and diffs stdout and exit code of
+// every goldenCase against results/cli/. Regenerate after a reviewed
+// change in what a command prints: go test -run TestCLIGolden -update .
+func TestCLIGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the toolchain")
+	}
+	dir := t.TempDir()
+	for _, tool := range []string{"letgo-inject", "letgo-sim", "letgo-run", "letgo-vet"} {
+		buildTool(t, dir, tool)
+	}
+	got := map[string]string{}
+	for _, gc := range goldenCases {
+		args := strings.Fields(strings.ReplaceAll(gc.args, "$DIR", dir))
+		cmd := exec.Command(filepath.Join(dir, gc.tool), args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		code := exitCode(cmd.Run())
+		if gc.args == "-h" {
+			// The usage header names the binary by its temp path.
+			_, flags, _ := strings.Cut(stderr.String(), "\n")
+			stdout.WriteString(flags)
+		}
+		got[gc.name] = fmt.Sprintf("$ %s %s\n%s[exit %d]\n", gc.tool, gc.args, stdout.String(), code)
+
+		path := filepath.Join("results", "cli", gc.name+".golden")
+		if *updateSnapshots {
+			if err := os.WriteFile(path, []byte(got[gc.name]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate: go test -run TestCLIGolden -update .)", err)
+		}
+		if got[gc.name] != string(want) {
+			t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s\nstderr: %s", gc.name, path, got[gc.name], want, stderr.String())
+		}
+	}
+
+	// Equalities the goldens imply, stated: the rerun engine and a merge
+	// of both shards print the single-process fork table.
+	body := func(name string) string {
+		_, b, _ := strings.Cut(got[name], "\n")
+		return b
+	}
+	for _, name := range []string{"inject-engine-rerun", "inject-merge-text"} {
+		if body(name) != body("inject-table-E") {
+			t.Errorf("%s is not byte-identical to inject-table-E", name)
+		}
+	}
+	// -compare honours -format: the B and E rows of each app, as rows.
+	var rows []struct{ App, Mode string }
+	doc, _, _ := strings.Cut(body("inject-compare-format-json"), "[exit ")
+	if err := json.Unmarshal([]byte(doc), &rows); err != nil {
+		t.Fatalf("-compare -format json is not JSON: %v\n%s", err, doc)
+	}
+	var modes []string
+	for _, r := range rows {
+		modes = append(modes, r.App+"/"+r.Mode)
+	}
+	if want := "CLAMR/LetGo-B CLAMR/LetGo-E HPL/LetGo-B HPL/LetGo-E"; strings.Join(modes, " ") != want {
+		t.Errorf("-compare -format json rows = %v, want %s", modes, want)
+	}
+}

@@ -10,18 +10,20 @@ import (
 	"time"
 )
 
-// buildInject compiles the letgo-inject binary once per test into dir, so
-// signal-delivery tests target the tool itself rather than `go run`'s
+// buildTool compiles one command's binary into dir, so signal-delivery
+// and exit-code tests target the tool itself rather than `go run`'s
 // wrapper process.
-func buildInject(t *testing.T, dir string) string {
+func buildTool(t *testing.T, dir, tool string) string {
 	t.Helper()
-	bin := filepath.Join(dir, "letgo-inject")
-	out, err := exec.Command("go", "build", "-o", bin, "./cmd/letgo-inject").CombinedOutput()
+	bin := filepath.Join(dir, tool)
+	out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build ./cmd/letgo-inject: %v\n%s", err, out)
+		t.Fatalf("go build ./cmd/%s: %v\n%s", tool, err, out)
 	}
 	return bin
 }
+
+func buildInject(t *testing.T, dir string) string { return buildTool(t, dir, "letgo-inject") }
 
 func exitCode(err error) int {
 	if err == nil {
@@ -116,5 +118,48 @@ func TestInjectCLIKillAndResume(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("resumed table differs from uninterrupted run:\n--- resumed\n%s--- reference\n%s", got, want)
+	}
+}
+
+// TestSimCLIInterruptPublishesSinks delivers SIGINT to letgo-sim while its
+// measured campaign runs: the exit is the interrupted one (code 3) and,
+// exactly as for letgo-inject, -events-json and -metrics-out are published
+// on the way out, with no temp file left next to them.
+func TestSimCLIInterruptPublishesSinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the toolchain")
+	}
+	dir := t.TempDir()
+	bin := buildTool(t, dir, "letgo-sim")
+	out := filepath.Join(dir, "out")
+	if err := os.Mkdir(out, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	events, metrics := filepath.Join(out, "e.jsonl"), filepath.Join(out, "m.prom")
+	cmd := exec.Command(bin, "-seed-source", "measured", "-app", "CLAMR", "-n", "100000",
+		"-events-json", events, "-metrics-out", metrics)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	if code := exitCode(cmd.Wait()); code != 3 {
+		t.Fatalf("interrupted run exit code = %d, want 3\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "letgo-sim: interrupted") {
+		t.Errorf("missing interrupted banner on stderr: %s", stderr.String())
+	}
+	for _, p := range []string{events, metrics} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not published after interrupt: %v", filepath.Base(p), err)
+		}
+	}
+	ents, _ := os.ReadDir(out)
+	if len(ents) != 2 {
+		t.Errorf("want exactly the two published files, found %d (first %s)", len(ents), ents[0].Name())
 	}
 }

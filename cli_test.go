@@ -263,3 +263,22 @@ func TestServeModeLiveEndpoints(t *testing.T) {
 		t.Errorf("result table missing from stdout:\n%s", stdout.String())
 	}
 }
+
+// TestUnknownSuffixRefused: the three tools that load a program file
+// share one loader, and it refuses a suffix it does not know instead of
+// parsing the bytes as an object image.
+func TestUnknownSuffixRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the toolchain")
+	}
+	path := filepath.Join(t.TempDir(), "prog.txt")
+	if err := os.WriteFile(path, []byte("func main() {}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []string{"letgo-run", "letgo-dbg", "letgo-vet"} {
+		out, err := exec.Command("go", "run", "./cmd/"+tool, path).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "unknown file type") || !strings.Contains(string(out), "want .s, .mc or .lgo") {
+			t.Errorf("%s %s: err=%v\n%s", tool, path, err, out)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"github.com/letgo-hpc/letgo/internal/asm"
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/isa"
 )
 
@@ -65,7 +66,4 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "letgo-asm:", err)
-	os.Exit(1)
-}
+func fatal(err error) { cli.Fatal("letgo-asm", err) }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/lang"
 )
 
@@ -71,7 +72,4 @@ func writeOut(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "letgo-cc:", err)
-	os.Exit(1)
-}
+func fatal(err error) { cli.Fatal("letgo-cc", err) }

@@ -18,27 +18,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"github.com/letgo-hpc/letgo/internal/apps"
-	"github.com/letgo-hpc/letgo/internal/asm"
-	"github.com/letgo-hpc/letgo/internal/isa"
-	"github.com/letgo-hpc/letgo/internal/lang"
+	"github.com/letgo-hpc/letgo/internal/cli"
 )
 
 func main() {
 	appName := flag.String("app", "", "load a built-in benchmark app")
 	flag.Parse()
 
-	prog, err := loadProgram(*appName, flag.Args())
+	prog, _, err := cli.LoadProgram("letgo-dbg", *appName, flag.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "letgo-dbg:", err)
-		os.Exit(1)
+		cli.Fatal("letgo-dbg", err)
 	}
 	s, err := newSession(prog, os.Stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "letgo-dbg:", err)
-		os.Exit(1)
+		cli.Fatal("letgo-dbg", err)
 	}
 	fmt.Println("letgo-dbg: type 'help' for commands")
 	sc := bufio.NewScanner(os.Stdin)
@@ -48,34 +42,5 @@ func main() {
 			return
 		}
 		fmt.Print("(ldb) ")
-	}
-}
-
-func loadProgram(appName string, args []string) (*isa.Program, error) {
-	if appName != "" {
-		a, ok := apps.ByName(appName)
-		if !ok {
-			return nil, fmt.Errorf("unknown app %q", appName)
-		}
-		return a.Compile()
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("usage: letgo-dbg [-app NAME | file.{mc,s,lgo}]")
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case strings.HasSuffix(args[0], ".mc"):
-		return lang.Compile(string(data))
-	case strings.HasSuffix(args[0], ".s"):
-		return asm.Assemble(string(data))
-	default:
-		var p isa.Program
-		if err := p.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return &p, nil
 	}
 }

@@ -34,322 +34,241 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
-	"github.com/letgo-hpc/letgo/internal/apps"
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/fabric"
 	"github.com/letgo-hpc/letgo/internal/inject"
-	"github.com/letgo-hpc/letgo/internal/obs"
-	"github.com/letgo-hpc/letgo/internal/obs/serve"
 	"github.com/letgo-hpc/letgo/internal/outcome"
 	"github.com/letgo-hpc/letgo/internal/report"
 	"github.com/letgo-hpc/letgo/internal/resilience"
 )
 
-// Exit codes.
-const (
-	exitOK          = 0
-	exitErr         = 1
-	exitFlags       = 2 // produced by flag.ExitOnError
-	exitInterrupted = 3
-)
+// invocation is one letgo-inject run: the harness, what the flags chose
+// for every campaign, and the completion tally behind the interrupted
+// banner.
+type invocation struct {
+	*cli.Tool
+	ctx    context.Context
+	engine inject.Engine // both engines produce identical tables; fork is faster
+	shard  inject.ShardSpec
 
-// telem holds the optional observability sinks; all-off by default so
-// the tables printed on stdout are byte-identical without the flags.
-var telem *obs.Sinks
+	// distribute runs one wired campaign; chosen once from the flags.
+	distribute func(*inject.Campaign) (*inject.Result, error)
 
-// engineSel is the -engine flag value, applied to every campaign. Both
-// engines produce identical tables; fork is simply faster.
-var engineSel inject.Engine
+	// merged is the -merge mode's combined shard journals (nil outside
+	// it), with the file count kept for the JSON provenance annotation.
+	merged         *resilience.Journal
+	mergedJournals int
 
-// runCtx is cancelled by SIGINT/SIGTERM (and the -deadline timeout);
-// campaigns drain their in-flight injections and return partial results.
-var runCtx context.Context
+	// coordinator is the -coordinate fabric coordinator (nil outside it),
+	// with its protocol server kept for shutdown.
+	coordinator *fabric.Coordinator
+	coordSrv    *http.Server
 
-// journal is the -journal resume journal shared by every campaign of the
-// invocation (keys separate apps and modes); nil without the flag.
-var journal *resilience.Journal
-
-// watchdogSel is the -watchdog per-injection wall-clock bound.
-var watchdogSel time.Duration
-
-// shardSel is the -shard work-unit spec applied to every campaign; the
-// zero value runs whole campaigns.
-var shardSel inject.ShardSpec
-
-// merged holds the -merge mode's combined shard journals (nil outside
-// merge mode), with the file count and writer identities kept for the
-// JSON provenance annotation.
-var merged *resilience.Journal
-var mergedJournals int
-var mergedWriters []string
-
-// coordinator is the -coordinate fabric coordinator (nil outside
-// coordinate mode), with its HTTP server kept for shutdown.
-var coordinator *fabric.Coordinator
-var coordSrv *http.Server
-
-// plane is the -serve observability server; nil without the flag. Closed
-// explicitly on every exit path (main leaves through os.Exit, so defers
-// would not run) to end SSE streams cleanly.
-var plane *serve.Server
-
-// progressTally accumulates completion across the campaigns that ran, for
-// the interrupted banner.
-var progressTally struct {
 	completed, total int
 	interrupted      bool
 }
 
 func main() {
+	inv := &invocation{Tool: cli.New("letgo-inject")}
 	appSel := flag.String("apps", "iterative", "comma-separated app names, 'iterative', 'all', 'hpl' or 'extensions'")
 	n := flag.Int("n", 1000, "injections per app per mode")
-	mode := flag.String("mode", "E", "LetGo mode for the campaign: off, B, E")
+	modeFlag := flag.String("mode", "E", "LetGo mode for the campaign: off, B, E")
 	compare := flag.Bool("compare", false, "run both LetGo-B and LetGo-E and print the four metrics (Figure 5)")
 	seed := flag.Uint64("seed", 2017, "campaign seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	engineFlag := flag.String("engine", "fork", "execution engine: fork (COW fork-replay) or rerun (re-execute from PC 0); results are identical")
 	formatFlag := flag.String("format", "text", "output format: text, markdown, csv or json")
-	metricsOut := flag.String("metrics-out", "", "write a metrics dump on exit (Prometheus text; JSON when the path ends in .json)")
-	eventsJSON := flag.String("events-json", "", "stream structured JSONL events to this file")
-	progress := flag.Bool("progress", false, "render live campaign progress on stderr")
-	serveAddr := flag.String("serve", "", "serve the live observability plane on this address (/metrics, /events, /status, /healthz, /debug/pprof)")
-	journalPath := flag.String("journal", "", "append completed injections to this JSONL journal (crash-safe; enables -resume)")
-	resume := flag.Bool("resume", false, "restore completed injections from the -journal file instead of re-executing them")
 	shardFlag := flag.String("shard", "", "execute only work unit i/n of each campaign (1-based; requires -journal) for a later -merge")
 	mergeFlag := flag.String("merge", "", "merge the shard journals matching this glob and render the final tables without executing injections")
-	watchdog := flag.Duration("watchdog", 0, "per-injection wall-clock bound; expired injections are quarantined as C-Hang (0 = off)")
 	deadline := flag.Duration("deadline", 0, "whole-invocation wall-clock bound; on expiry campaigns drain and partial results print (0 = off)")
 	coordinateFlag := flag.String("coordinate", "", "serve the fabric work queue on this address and coordinate remote -worker processes (requires -journal)")
 	workerFlag := flag.String("worker", "", "run as a fabric worker against this coordinator URL; campaigns come from the coordinator")
 	workerName := flag.String("worker-name", "", "fabric worker identity stamped on shipped records (default host-pid)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fabric lease TTL before an unrenewed work unit is re-dispatched (0 = 10s)")
 	unitSize := flag.Int("unit-size", 0, "fabric work-unit size in injections (0 = derived from n)")
+	inv.TelemetryFlags(true)
+	inv.CampaignFlags()
 	flag.Parse()
 
 	format, err := report.ParseFormat(*formatFlag)
 	if err != nil {
-		fatal(err)
+		inv.Fatal(err)
 	}
-
-	if engineSel, err = inject.ParseEngine(*engineFlag); err != nil {
-		fatal(err)
+	if inv.engine, err = inject.ParseEngine(*engineFlag); err != nil {
+		inv.Fatal(err)
 	}
-
-	sel, err := selectApps(*appSel)
+	sel, err := cli.SelectApps(*appSel)
 	if err != nil {
-		fatal(err)
+		inv.Fatal(err)
 	}
-
-	if telem, err = obs.Open(obs.Options{
-		MetricsOut: *metricsOut, EventsJSON: *eventsJSON,
-		Progress: *progress, Serve: *serveAddr != "",
-	}); err != nil {
-		fatal(err)
-	}
-	if *serveAddr != "" {
-		if plane, err = serve.ForSinks(*serveAddr, telem); err != nil {
-			fatal(err)
+	modes := []inject.Mode{inject.LetGoB, inject.LetGoE}
+	if !*compare {
+		mode, err := parseMode(*modeFlag)
+		if err != nil {
+			inv.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "letgo-inject: observability plane on http://%s (metrics, events, status, healthz, debug/pprof)\n", plane.Addr())
+		modes = []inject.Mode{mode}
 	}
-
+	if *shardFlag != "" {
+		if inv.shard, err = inject.ParseShardSpec(*shardFlag); err != nil {
+			inv.Fatal(err)
+		}
+	}
+	fabricMode, static := *coordinateFlag != "" || *workerFlag != "", *shardFlag != "" || *mergeFlag != ""
 	switch {
 	case *coordinateFlag != "" && *workerFlag != "":
-		fatal(fmt.Errorf("-coordinate and -worker are mutually exclusive (one process is one side of the fabric)"))
-	case (*coordinateFlag != "" || *workerFlag != "") && (*shardFlag != "" || *mergeFlag != ""):
-		fatal(fmt.Errorf("-coordinate/-worker replace static -shard/-merge partitioning; the flags are mutually exclusive"))
-	case *coordinateFlag != "" && *journalPath == "":
-		fatal(fmt.Errorf("-coordinate requires -journal (the journal is the coordinator's crash-safe state)"))
-	case *workerFlag != "" && (*journalPath != "" || *resume):
-		fatal(fmt.Errorf("-worker ships records to the coordinator; it takes no -journal or -resume"))
+		inv.Fatal(fmt.Errorf("-coordinate and -worker are mutually exclusive (one process is one side of the fabric)"))
+	case fabricMode && static:
+		inv.Fatal(fmt.Errorf("-coordinate/-worker replace static -shard/-merge partitioning; the flags are mutually exclusive"))
+	case *coordinateFlag != "" && !inv.Journaled():
+		inv.Fatal(fmt.Errorf("-coordinate requires -journal (the journal is the coordinator's crash-safe state)"))
+	case *workerFlag != "" && inv.Journaled():
+		inv.Fatal(fmt.Errorf("-worker ships records to the coordinator; it takes no -journal or -resume"))
+	case *shardFlag != "" && *mergeFlag != "":
+		inv.Fatal(fmt.Errorf("-merge and -shard are mutually exclusive"))
+	case *shardFlag != "" && !inv.Journaled():
+		inv.Fatal(fmt.Errorf("-shard requires -journal (the shard journal is what -merge consumes)"))
+	case *mergeFlag != "" && inv.Journaled():
+		inv.Fatal(fmt.Errorf("-merge reads shard journals; it takes no -journal or -resume"))
 	}
+	inv.Open()
+	inv.ctx = inv.Context(*deadline)
 
-	if *shardFlag != "" {
-		if shardSel, err = inject.ParseShardSpec(*shardFlag); err != nil {
-			fatal(err)
-		}
-		if *journalPath == "" {
-			fatal(fmt.Errorf("-shard requires -journal (the shard journal is what -merge consumes)"))
-		}
-	}
-	if *mergeFlag != "" {
-		switch {
-		case *shardFlag != "":
-			fatal(fmt.Errorf("-merge and -shard are mutually exclusive"))
-		case *journalPath != "" || *resume:
-			fatal(fmt.Errorf("-merge reads shard journals; it takes no -journal or -resume"))
-		}
-		var collisions []resilience.Collision
-		if merged, collisions, err = resilience.MergeGlob(*mergeFlag); err != nil {
-			fatal(err)
-		}
-		paths, _ := filepath.Glob(*mergeFlag)
-		mergedJournals = len(paths)
-		mergedWriters = merged.Writers()
-		conflicting := reportMerge(mergedJournals, collisions)
-		for _, col := range collisions {
-			fmt.Fprintf(os.Stderr, "letgo-inject: shard collision: %s\n", col)
-		}
-		if conflicting > 0 {
-			fatal(fmt.Errorf("%d conflicting shard record(s); refusing to merge (shards disagree about the same injection)", conflicting))
-		}
-	}
-	if *resume && *journalPath == "" {
-		fatal(fmt.Errorf("-resume requires -journal"))
-	}
-	if *journalPath != "" {
-		if *resume {
-			journal, err = resilience.Open(*journalPath)
-		} else {
-			journal, err = resilience.Create(*journalPath)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-	watchdogSel = *watchdog
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
-	runCtx = ctx
-
-	if *workerFlag != "" {
-		runWorker(*workerFlag, *workerName, *workers)
-	}
-	if *coordinateFlag != "" {
-		coordinator = fabric.NewCoordinator(journal, fabric.Options{
-			LeaseTTL: *leaseTTL, UnitSize: *unitSize, Hub: telem.Hub,
-		})
-		ln, err := net.Listen("tcp", *coordinateFlag)
-		if err != nil {
-			fatal(err)
-		}
-		coordSrv = &http.Server{Handler: coordinator.Handler()}
-		go coordSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
-		fmt.Fprintf(os.Stderr, "letgo-inject: fabric coordinator on http://%s\n", ln.Addr())
-		// The serve plane mirrors the coordinator's snapshot so one
-		// scrape target covers campaign and fabric state.
-		plane.Handle("/fabric/status", coordinator.StatusHandler())
-	}
-
+	// Pick how a campaign is distributed, once.
 	switch {
-	case *compare:
-		runCompare(sel, *n, *seed, *workers)
-	case format != report.Text:
-		rows := make([]report.CampaignRow, 0, len(sel))
-		for _, a := range sel {
-			if runCtx.Err() != nil {
-				break
-			}
-			r := mustRun(&inject.Campaign{App: a, Mode: modeFromFlag(*mode), N: *n, Seed: *seed, Workers: *workers})
-			if r == nil {
-				break
-			}
-			rows = append(rows, report.Row(r))
-		}
-		if merged != nil {
-			report.AnnotateMerge(rows, mergedJournals, mergedWriters)
-		}
-		if err := report.Campaigns(os.Stdout, format, rows); err != nil {
-			fatal(err)
-		}
+	case *workerFlag != "":
+		inv.runWorker(*workerFlag, *workerName, *workers)
+	case *coordinateFlag != "":
+		inv.startCoordinator(*coordinateFlag, fabric.Options{LeaseTTL: *leaseTTL, UnitSize: *unitSize, Hub: inv.Hub})
+		inv.distribute = inv.coordinate
+	case *mergeFlag != "":
+		inv.openMerge(*mergeFlag)
+		inv.distribute = func(c *inject.Campaign) (*inject.Result, error) { return c.MergeContext(inv.ctx, inv.merged) }
 	default:
-		runTable(sel, modeFromFlag(*mode), *n, *seed, *workers)
+		inv.distribute = func(c *inject.Campaign) (*inject.Result, error) { return c.RunContext(inv.ctx) }
 	}
-	shutdownFabric()
-	if err := telem.Close(); err != nil {
-		fatal(err)
-	}
-	plane.Close()
-	if progressTally.interrupted || runCtx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "letgo-inject: interrupted: %d/%d injections completed",
-			progressTally.completed, progressTally.total)
-		if journal != nil {
-			fmt.Fprintf(os.Stderr, " (resume with -resume -journal %s)", journal.Path())
+
+	// The one campaign loop: apps × modes, until done or interrupted.
+	var results []*inject.Result
+campaigns:
+	for _, a := range sel {
+		for _, mode := range modes {
+			r := inv.run(&inject.Campaign{App: a, Mode: mode, N: *n, Seed: *seed, Workers: *workers})
+			if r == nil {
+				break campaigns
+			}
+			results = append(results, r)
 		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(exitInterrupted)
 	}
-	os.Exit(exitOK)
+	if err := inv.render(format, *compare, len(sel) > 1, results); err != nil {
+		inv.fatal(err)
+	}
+	inv.shutdownFabric()
+	inv.Finish(inv.interrupted || inv.ctx.Err() != nil,
+		fmt.Sprintf(": %d/%d injections completed", inv.completed, inv.total))
 }
 
-func modeFromFlag(mode string) inject.Mode {
+func parseMode(mode string) (inject.Mode, error) {
 	switch strings.ToUpper(mode) {
 	case "OFF":
-		return inject.NoLetGo
+		return inject.NoLetGo, nil
 	case "B":
-		return inject.LetGoB
+		return inject.LetGoB, nil
 	case "E":
-		return inject.LetGoE
+		return inject.LetGoE, nil
 	}
-	fatal(fmt.Errorf("unknown mode %q", mode))
-	return inject.LetGoE
+	return 0, fmt.Errorf("unknown mode %q", mode)
 }
 
-func selectApps(sel string) ([]*apps.App, error) {
-	switch strings.ToLower(sel) {
-	case "iterative":
-		return apps.Iterative(), nil
-	case "all":
-		return apps.All(), nil
-	case "hpl":
-		a, _ := apps.ByName("HPL")
-		return []*apps.App{a}, nil
-	case "extensions", "amg":
-		return apps.Extensions(), nil
+// run wires one campaign to the invocation, distributes it and tallies
+// its completion. It returns nil when the signal (or -deadline) landed
+// before the campaign's injection phase: nothing to render, and the whole
+// campaign counts as outstanding.
+func (inv *invocation) run(c *inject.Campaign) *inject.Result {
+	if inv.ctx.Err() != nil {
+		return nil
 	}
-	var out []*apps.App
-	for _, name := range strings.Split(sel, ",") {
-		a, ok := apps.ByName(strings.TrimSpace(name))
-		if !ok {
-			return nil, fmt.Errorf("unknown app %q", name)
+	c.Engine, c.ShardSpec = inv.engine, inv.shard
+	inv.Observe(c)
+	r, err := inv.distribute(c)
+	if cli.Interrupted(err) {
+		inv.total += c.N
+		inv.interrupted = true
+		return nil
+	}
+	if err != nil {
+		inv.fatal(err)
+	}
+	inv.completed += r.Completed
+	inv.total += r.Planned
+	inv.interrupted = inv.interrupted || r.Interrupted
+	return r
+}
+
+// coordinate is the -coordinate distribution: plan locally, publish the
+// plan to the fabric work queue, and — once every unit's records have
+// shipped back (or the invocation was interrupted) — render the result
+// from the journal through the same Merge stage a -merge invocation uses,
+// so the table is byte-identical to a single-process run's.
+func (inv *invocation) coordinate(c *inject.Campaign) (*inject.Result, error) {
+	p, err := c.PlanContext(inv.ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := inv.coordinator.Coordinate(inv.ctx, p.Manifest()); err != nil && !cli.Interrupted(err) {
+		return nil, err
+	}
+	// Render with a background context: after SIGINT the partial table
+	// from whatever shipped is exactly what exit code 3 promises.
+	return c.MergeContext(context.Background(), inv.Journal)
+}
+
+// render prints what ran, once: the machine-readable rows, the Figure-5
+// layout (the four Section-5.3 metrics, LetGo-B and LetGo-E side by side)
+// or the Table-3 layout (outcome fractions over all injections).
+func (inv *invocation) render(format report.Format, compare, average bool, results []*inject.Result) error {
+	if format != report.Text {
+		rows := make([]report.CampaignRow, len(results))
+		for i, r := range results {
+			rows[i] = report.Row(r)
 		}
-		out = append(out, a)
+		if inv.merged != nil {
+			report.AnnotateMerge(rows, inv.mergedJournals, inv.merged.Writers())
+		}
+		return report.Campaigns(os.Stdout, format, rows)
 	}
-	return out, nil
-}
-
-// runTable prints the Table-3 layout: outcome fractions normalized by the
-// total number of injections.
-func runTable(sel []*apps.App, mode inject.Mode, n int, seed uint64, workers int) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	if compare {
+		fmt.Fprintf(w, "Benchmark\tMode\tContinuability\tContinued_detected\tContinued_correct\tContinued_SDC\n")
+		for _, r := range results {
+			m := r.Metrics
+			fmt.Fprintf(w, "%s\t%v\t%.3f\t%.3f\t%.3f\t%.3f\n",
+				r.App, r.Mode, m.Continuability, m.ContinuedDetected, m.ContinuedCorrect, m.ContinuedSDC)
+		}
+		return w.Flush()
+	}
 	fmt.Fprintf(w, "Benchmark\tDetected\tBenign\tSDC\tDoubleCrash\tC-Detected\tC-Benign\tC-SDC\tHang\tCrashRate\tContinuability\tMedianCrashLatency\tDeadDest\tMaskedDead\tMaskedLive\n")
-	var agg outcome.Counts
-	var aggLive, aggDead outcome.Counts
-	for _, a := range sel {
-		if runCtx.Err() != nil {
-			break
-		}
-		r := mustRun(&inject.Campaign{App: a, Mode: mode, N: n, Seed: seed, Workers: workers})
-		if r == nil {
-			break
-		}
+	var agg, aggLive, aggDead outcome.Counts
+	for _, r := range results {
 		agg.Merge(r.Counts)
 		aggLive.Merge(r.LiveDest)
 		aggDead.Merge(r.DeadDest)
-		row(w, a.Name, &r.Counts, r.Metrics, fmt.Sprintf("%d", r.MedianCrashLatency()), &r.LiveDest, &r.DeadDest)
+		row(w, r.App, &r.Counts, r.Metrics, fmt.Sprintf("%d", r.MedianCrashLatency()), &r.LiveDest, &r.DeadDest)
 	}
-	if len(sel) > 1 {
+	if average {
 		row(w, "AVERAGE", &agg, outcome.ComputeMetrics(&agg), "-", &aggLive, &aggDead)
 	}
-	w.Flush()
+	return w.Flush()
 }
 
 func row(w *tabwriter.Writer, name string, c *outcome.Counts, m outcome.Metrics, latency string, live, dead *outcome.Counts) {
@@ -367,105 +286,11 @@ func row(w *tabwriter.Writer, name string, c *outcome.Counts, m outcome.Metrics,
 		100*deadFrac, 100*inject.MaskedFrac(dead), 100*inject.MaskedFrac(live))
 }
 
-// runCompare prints the Figure-5 layout: the four Section-5.3 metrics for
-// LetGo-B and LetGo-E side by side.
-func runCompare(sel []*apps.App, n int, seed uint64, workers int) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Benchmark\tMode\tContinuability\tContinued_detected\tContinued_correct\tContinued_SDC\n")
-	for _, a := range sel {
-		for _, mode := range []inject.Mode{inject.LetGoB, inject.LetGoE} {
-			if runCtx.Err() != nil {
-				break
-			}
-			r := mustRun(&inject.Campaign{App: a, Mode: mode, N: n, Seed: seed, Workers: workers})
-			if r == nil {
-				break
-			}
-			m := r.Metrics
-			fmt.Fprintf(w, "%s\t%v\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				a.Name, mode, m.Continuability, m.ContinuedDetected, m.ContinuedCorrect, m.ContinuedSDC)
-		}
-	}
-	w.Flush()
-}
-
-func mustRun(c *inject.Campaign) *inject.Result {
-	c.Engine = engineSel
-	c.Journal = journal
-	c.Watchdog = watchdogSel
-	c.ShardSpec = shardSel
-	if telem.Enabled() {
-		c.Obs = telem.Hub
-		c.Observer = inject.NewObsObserver(c.App.Name, c.Mode, c.N, telem.Hub, telem.Progress, telem.Status)
-	}
-	if coordinator != nil {
-		return mustCoordinate(c)
-	}
-	var r *inject.Result
-	var err error
-	if merged != nil {
-		r, err = c.MergeContext(runCtx, merged)
-	} else {
-		r, err = c.RunContext(runCtx)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// The signal (or -deadline) landed before this campaign's
-		// injection phase: nothing to render, count the whole campaign
-		// as outstanding.
-		progressTally.total += c.N
-		progressTally.interrupted = true
-		return nil
-	}
-	if err != nil {
-		fatal(err)
-	}
-	progressTally.completed += r.Completed
-	progressTally.total += r.Planned
-	if r.Interrupted {
-		progressTally.interrupted = true
-	}
-	return r
-}
-
-// mustCoordinate runs one campaign in coordinate mode: plan locally,
-// publish the plan to the fabric work queue, and — once every unit's
-// records have shipped back (or the invocation was interrupted) — render
-// the result from the journal through the same Merge stage a -merge
-// invocation uses, so the table is byte-identical to a single-process
-// run's.
-func mustCoordinate(c *inject.Campaign) *inject.Result {
-	p, err := c.PlanContext(runCtx)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		progressTally.total += c.N
-		progressTally.interrupted = true
-		return nil
-	}
-	if err != nil {
-		fatal(err)
-	}
-	cerr := coordinator.Coordinate(runCtx, p.Manifest())
-	if cerr != nil && !errors.Is(cerr, context.Canceled) && !errors.Is(cerr, context.DeadlineExceeded) {
-		fatal(cerr)
-	}
-	// Render with a background context: after SIGINT the partial table
-	// from whatever shipped is exactly what exit code 3 promises.
-	r, err := c.MergeContext(context.Background(), journal)
-	if err != nil {
-		fatal(err)
-	}
-	progressTally.completed += r.Completed
-	progressTally.total += r.Planned
-	if r.Interrupted || cerr != nil {
-		progressTally.interrupted = true
-	}
-	return r
-}
-
 // runWorker is the whole -worker mode: serve the coordinator's queue
 // until it says done, then exit with the usual code contract. Campaign
 // configuration comes from the coordinator; only execution knobs
 // (engine, workers, watchdog) are local.
-func runWorker(base, name string, workers int) {
+func (inv *invocation) runWorker(base, name string, workers int) {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
@@ -478,73 +303,86 @@ func runWorker(base, name string, workers int) {
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w := &fabric.Worker{
-		Base: base, Name: name, Engine: engineSel, Workers: workers,
-		Watchdog: watchdogSel, Hub: telem.Hub,
+		Base: base, Name: name, Engine: inv.engine, Workers: workers,
+		Watchdog: inv.Watchdog, Hub: inv.Hub,
 	}
 	fmt.Fprintf(os.Stderr, "letgo-inject: fabric worker %q serving %s\n", name, base)
-	err := w.Run(runCtx)
-	telem.Close() //nolint:errcheck // exiting either way
-	plane.Close()
-	switch {
-	case err == nil:
-		os.Exit(exitOK)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintln(os.Stderr, "letgo-inject: worker interrupted")
-		os.Exit(exitInterrupted)
-	default:
-		fmt.Fprintln(os.Stderr, "letgo-inject:", err)
-		os.Exit(exitErr)
+	err := w.Run(inv.ctx)
+	if err != nil && !cli.Interrupted(err) {
+		inv.Fatal(err)
+	}
+	inv.Finish(err != nil, " (worker)")
+}
+
+// startCoordinator serves the fabric work queue on addr.
+func (inv *invocation) startCoordinator(addr string, opts fabric.Options) {
+	inv.coordinator = fabric.NewCoordinator(inv.Journal, opts)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		inv.Fatal(err)
+	}
+	inv.coordSrv = &http.Server{Handler: inv.coordinator.Handler()}
+	go inv.coordSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
+	fmt.Fprintf(os.Stderr, "letgo-inject: fabric coordinator on http://%s\n", ln.Addr())
+	// The serve plane mirrors the coordinator's snapshot so one scrape
+	// target covers campaign and fabric state.
+	inv.Plane.Handle("/fabric/status", inv.coordinator.StatusHandler())
+}
+
+// openMerge combines the shard journals matching glob, refusing shards
+// that disagree about an injection.
+func (inv *invocation) openMerge(glob string) {
+	merged, collisions, err := resilience.MergeGlob(glob)
+	if err != nil {
+		inv.Fatal(err)
+	}
+	paths, _ := filepath.Glob(glob)
+	inv.merged, inv.mergedJournals = merged, len(paths)
+	if conflicting := inv.reportMerge(collisions); conflicting > 0 {
+		inv.Fatal(fmt.Errorf("%d conflicting shard record(s); refusing to merge (shards disagree about the same injection)", conflicting))
 	}
 }
 
 // reportMerge mirrors a merge's shape into the obs plane — the journal
 // count and the identical/conflicting collision split, as letgo_merge_*
-// counters and /status fields — and returns the conflicting count for
-// the abort decision.
-func reportMerge(journals int, collisions []resilience.Collision) int {
+// counters and /status fields — and returns the conflicting count.
+func (inv *invocation) reportMerge(collisions []resilience.Collision) int {
 	identical, conflicting := 0, 0
 	for _, col := range collisions {
+		fmt.Fprintf(os.Stderr, "letgo-inject: shard collision: %s\n", col)
 		if col.Identical {
 			identical++
 		} else {
 			conflicting++
 		}
 	}
-	if telem.Hub != nil {
-		if reg := telem.Hub.Reg; reg != nil {
-			reg.Help("letgo_merge_journals_total", "Shard journal files combined by -merge.")
-			reg.Counter("letgo_merge_journals_total")
-			reg.Help("letgo_merge_collisions_total", "Writer-identity collisions across merged shard journals, by kind.")
-			reg.Counter("letgo_merge_collisions_total", "kind", "identical")
-			reg.Counter("letgo_merge_collisions_total", "kind", "conflicting")
-		}
-		telem.Hub.Counter("letgo_merge_journals_total").Add(uint64(journals))
-		telem.Hub.Counter("letgo_merge_collisions_total", "kind", "identical").Add(uint64(identical))
-		telem.Hub.Counter("letgo_merge_collisions_total", "kind", "conflicting").Add(uint64(conflicting))
+	if hub := inv.Hub; hub != nil {
+		hub.Reg.Help("letgo_merge_journals_total", "Shard journal files combined by -merge.")
+		hub.Reg.Help("letgo_merge_collisions_total", "Writer-identity collisions across merged shard journals, by kind.")
+		hub.Counter("letgo_merge_journals_total").Add(uint64(inv.mergedJournals))
+		hub.Counter("letgo_merge_collisions_total", "kind", "identical").Add(uint64(identical))
+		hub.Counter("letgo_merge_collisions_total", "kind", "conflicting").Add(uint64(conflicting))
 	}
-	telem.Status.SetMerge(journals, identical, conflicting)
+	inv.Status.SetMerge(inv.mergedJournals, identical, conflicting)
 	return conflicting
 }
 
 // shutdownFabric ends a coordinate-mode invocation cleanly: tell the
 // fleet the invocation is done, give recently seen workers a moment to
 // hear it, then stop the protocol server.
-func shutdownFabric() {
-	if coordinator == nil {
+func (inv *invocation) shutdownFabric() {
+	if inv.coordinator == nil {
 		return
 	}
-	coordinator.Finish()
-	coordinator.AwaitDrain(3 * time.Second)
-	if coordSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		coordSrv.Shutdown(ctx) //nolint:errcheck // exiting either way
-	}
+	inv.coordinator.Finish()
+	inv.coordinator.AwaitDrain(3 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	inv.coordSrv.Shutdown(ctx) //nolint:errcheck // exiting either way
 }
 
-func fatal(err error) {
-	shutdownFabric()
-	plane.Close()
-	fmt.Fprintln(os.Stderr, "letgo-inject:", err)
-	os.Exit(exitErr)
+// fatal is Fatal once campaigns are under way: the fleet is told first.
+func (inv *invocation) fatal(err error) {
+	inv.shutdownFabric()
+	inv.Fatal(err)
 }

@@ -18,54 +18,51 @@ import (
 	"strings"
 
 	"github.com/letgo-hpc/letgo/internal/apps"
-	"github.com/letgo-hpc/letgo/internal/asm"
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/core"
-	"github.com/letgo-hpc/letgo/internal/isa"
-	"github.com/letgo-hpc/letgo/internal/lang"
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/pin"
 	"github.com/letgo-hpc/letgo/internal/trace"
 	"github.com/letgo-hpc/letgo/internal/vm"
 )
 
-// telem holds the optional observability sinks; all-off by default so
-// the stdout report is byte-identical without the flags.
-var telem *obs.Sinks
-
 // progressChunk is the instruction granularity at which a -progress run
 // surfaces its retired count between vm resumptions.
 const progressChunk = 1 << 22
 
 func main() {
+	t := cli.New("letgo-run")
 	appName := flag.String("app", "", "run a built-in benchmark app (LULESH, CLAMR, HPL, COMD, SNAP, PENNANT)")
 	mode := flag.String("mode", "E", "LetGo mode: off, B (basic), E (enhanced)")
 	budget := flag.Uint64("budget", 1<<28, "instruction budget before declaring a hang")
 	events := flag.Bool("events", false, "print the LetGo repair event log")
 	traceN := flag.Int("trace", 0, "keep an N-instruction history and print a crash report on faults (mode off only)")
-	metricsOut := flag.String("metrics-out", "", "write a metrics dump on exit (Prometheus text; JSON when the path ends in .json)")
-	eventsJSON := flag.String("events-json", "", "stream structured JSONL events to this file")
-	progress := flag.Bool("progress", false, "render live retired-instruction progress on stderr")
+	t.TelemetryFlags(false)
 	flag.Parse()
 
-	prog, app, err := loadProgram(*appName, flag.Args())
+	prog, app, err := cli.LoadProgram(t.Name, *appName, flag.Args())
 	if err != nil {
-		fatal(err)
+		t.Fatal(err)
 	}
-	if telem, err = obs.OpenSinks(*metricsOut, *eventsJSON, *progress); err != nil {
-		fatal(err)
-	}
+	t.Open()
 
 	m, err := vm.New(prog, vm.Config{Out: os.Stdout})
 	if err != nil {
-		fatal(err)
+		t.Fatal(err)
 	}
-	if telem.Enabled() && telem.Hub != nil {
-		telem.Hub.Emit(obs.PhaseEvent{App: progName(app, flag.Args()), Phase: "run"})
-		m.OnTrap = func(t *vm.Trap) {
-			telem.Hub.Counter("letgo_vm_traps_total", "signal", t.Signal.String()).Inc()
+	name := "program"
+	if app != nil {
+		name = app.Name
+	} else if flag.NArg() > 0 {
+		name = flag.Arg(0)
+	}
+	if t.Hub != nil {
+		t.Hub.Emit(obs.PhaseEvent{App: name, Phase: "run"})
+		m.OnTrap = func(tr *vm.Trap) {
+			t.Hub.Counter("letgo_vm_traps_total", "signal", tr.Signal.String()).Inc()
 		}
 	}
-	telem.Progress.Start("run "+progName(app, flag.Args()), 0)
+	t.Progress.Start("run "+name, 0)
 
 	if strings.EqualFold(*mode, "off") {
 		var ring *trace.Ring
@@ -73,11 +70,14 @@ func main() {
 		if *traceN > 0 {
 			ring = trace.NewRing(*traceN)
 			err = trace.RunTraced(m, ring, *budget)
-			telem.Progress.Update(int(m.Retired))
+			t.Progress.Update(int(m.Retired))
 		} else {
-			err = runChunkedVM(m, *budget)
+			runChunked(t, m, *budget, func(target uint64) bool {
+				err = m.Run(target)
+				return err == vm.ErrBudget
+			})
 		}
-		telem.Progress.Finish()
+		t.Progress.Finish()
 		switch {
 		case err == nil:
 			fmt.Println("outcome: completed")
@@ -89,124 +89,58 @@ func main() {
 				trace.CrashReport(os.Stdout, m, trap, ring)
 			}
 		}
-		report(app, m)
-		finishTelem(m)
-		return
-	}
-
-	opts := core.Options{Mode: core.ModeEnhanced}
-	if strings.EqualFold(*mode, "B") {
-		opts.Mode = core.ModeBasic
-	}
-	if telem.Enabled() {
-		opts.Obs = telem.Hub
-	}
-	runner := core.Attach(m, pin.Analyze(prog), opts)
-	res := runChunkedRunner(runner, m, *budget)
-	telem.Progress.Finish()
-	fmt.Printf("outcome: %v  signal: %v  crashes elided: %d  retired: %d\n",
-		res.Outcome, res.Signal, res.Repairs, res.Retired)
-	if *events {
-		fmt.Print(trace.FormatEvents(res.Events))
+	} else {
+		opts := core.Options{Mode: core.ModeEnhanced}
+		if strings.EqualFold(*mode, "B") {
+			opts.Mode = core.ModeBasic
+		}
+		if t.Enabled() {
+			opts.Obs = t.Hub
+		}
+		// The runner keeps its repair state across resumptions, so the
+		// final Result is identical to a single Run call.
+		runner := core.Attach(m, pin.Analyze(prog), opts)
+		var res core.Result
+		runChunked(t, m, *budget, func(target uint64) bool {
+			res = runner.Run(target)
+			return res.Outcome == core.RunHang
+		})
+		t.Progress.Finish()
+		fmt.Printf("outcome: %v  signal: %v  crashes elided: %d  retired: %d\n",
+			res.Outcome, res.Signal, res.Repairs, res.Retired)
+		if *events {
+			fmt.Print(trace.FormatEvents(res.Events))
+		}
 	}
 	report(app, m)
-	finishTelem(m)
+	if t.Hub != nil {
+		t.Hub.Reg.Help("letgo_vm_retired_instructions_total", "Instructions retired by the machine.")
+		t.Hub.Counter("letgo_vm_retired_instructions_total").Add(m.Retired)
+	}
+	t.Finish(false, "")
 }
 
-// runChunkedVM drives an unsupervised machine to completion. With live
-// progress enabled it resumes in fixed instruction chunks so the retired
-// count surfaces between resumptions; the chunking is invisible to the
-// program (the budget check in vm.Run is against the absolute retired
-// count).
-func runChunkedVM(m *vm.Machine, budget uint64) error {
-	if telem.Progress == nil {
-		return m.Run(budget)
+// runChunked drives the machine to the budget through resume, which runs
+// to an absolute retired-instruction target and reports whether it
+// stopped only because it reached it. With live progress enabled the
+// targets advance in fixed chunks so the retired count surfaces between
+// resumptions; the chunking is invisible to the program (the budget check
+// in vm.Run is against the absolute retired count).
+func runChunked(t *cli.Tool, m *vm.Machine, budget uint64, resume func(target uint64) bool) {
+	if t.Progress == nil {
+		resume(budget)
+		return
 	}
 	for {
 		target := m.Retired + progressChunk
 		if target > budget {
 			target = budget
 		}
-		err := m.Run(target)
-		telem.Progress.Update(int(m.Retired))
-		if err != vm.ErrBudget || target >= budget {
-			return err
+		more := resume(target)
+		t.Progress.Update(int(m.Retired))
+		if !more || target >= budget {
+			return
 		}
-	}
-}
-
-// runChunkedRunner is runChunkedVM for a LetGo-supervised run. The
-// runner keeps its repair state across resumptions, so the final Result
-// is identical to a single Run call.
-func runChunkedRunner(r *core.Runner, m *vm.Machine, budget uint64) core.Result {
-	if telem.Progress == nil {
-		return r.Run(budget)
-	}
-	for {
-		target := m.Retired + progressChunk
-		if target > budget {
-			target = budget
-		}
-		res := r.Run(target)
-		telem.Progress.Update(int(m.Retired))
-		if res.Outcome != core.RunHang || target >= budget {
-			return res
-		}
-	}
-}
-
-// finishTelem records final machine-level metrics and flushes the sinks.
-func finishTelem(m *vm.Machine) {
-	if telem.Enabled() && telem.Hub != nil {
-		telem.Hub.Reg.Help("letgo_vm_retired_instructions_total", "Instructions retired by the machine.")
-		telem.Hub.Counter("letgo_vm_retired_instructions_total").Add(m.Retired)
-	}
-	if err := telem.Close(); err != nil {
-		fatal(err)
-	}
-}
-
-// progName labels the run for events and progress.
-func progName(app *apps.App, args []string) string {
-	if app != nil {
-		return app.Name
-	}
-	if len(args) > 0 {
-		return args[0]
-	}
-	return "program"
-}
-
-// loadProgram resolves the input program from -app or a file argument.
-func loadProgram(appName string, args []string) (*isa.Program, *apps.App, error) {
-	if appName != "" {
-		a, ok := apps.ByName(appName)
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown app %q", appName)
-		}
-		p, err := a.Compile()
-		return p, a, err
-	}
-	if len(args) != 1 {
-		return nil, nil, fmt.Errorf("usage: letgo-run [-app NAME | file.{mc,s,lgo}]")
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case strings.HasSuffix(args[0], ".mc"):
-		p, err := lang.Compile(string(data))
-		return p, nil, err
-	case strings.HasSuffix(args[0], ".s"):
-		p, err := asm.Assemble(string(data))
-		return p, nil, err
-	default:
-		var p isa.Program
-		if err := p.UnmarshalBinary(data); err != nil {
-			return nil, nil, err
-		}
-		return &p, nil, nil
 	}
 }
 
@@ -222,9 +156,4 @@ func report(app *apps.App, m *vm.Machine) {
 		return
 	}
 	fmt.Printf("acceptance check (%s): passed=%v\n", app.Name, ok)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "letgo-run:", err)
-	os.Exit(1)
 }

@@ -14,38 +14,25 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"text/tabwriter"
-	"time"
 
 	letgo "github.com/letgo-hpc/letgo"
 	"github.com/letgo-hpc/letgo/internal/analysis"
 	"github.com/letgo-hpc/letgo/internal/apps"
 	"github.com/letgo-hpc/letgo/internal/checkpoint"
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/inject"
 	"github.com/letgo-hpc/letgo/internal/obs"
-	"github.com/letgo-hpc/letgo/internal/obs/serve"
 	"github.com/letgo-hpc/letgo/internal/report"
-	"github.com/letgo-hpc/letgo/internal/resilience"
 	"github.com/letgo-hpc/letgo/internal/stats"
 )
 
-// telem holds the optional observability sinks (-metrics-out,
-// -events-json, -progress); all-off by default so the stdout figures
-// are byte-identical without the flags.
-var telem *obs.Sinks
-
-// plane is the -serve observability server; nil without the flag. Closed
-// explicitly in the os.Exit paths (fatal/interrupted) where defers don't
-// run, so SSE streams end cleanly.
-var plane *serve.Server
-
 func main() {
+	t := cli.New("letgo-sim")
 	fig := flag.Int("fig", 0, "regenerate a paper figure: 7 or 8 (0 = single configuration)")
 	appName := flag.String("app", "LULESH", "benchmark app")
 	tchk := flag.Float64("tchk", 120, "checkpoint cost, seconds (Figure 8 / single run)")
@@ -58,90 +45,54 @@ func main() {
 	horizon := flag.Float64("horizon", checkpoint.DefaultHorizon, "simulated seconds")
 	advise := flag.Bool("advise", false, "print the operator recommendation (use LetGo or not) for this configuration")
 	formatFlag := flag.String("format", "text", "figure output format: text, markdown, csv or json")
-	metricsOut := flag.String("metrics-out", "", "write a metrics dump on exit (Prometheus text; JSON when the path ends in .json)")
-	eventsJSON := flag.String("events-json", "", "stream structured JSONL events to this file")
-	progress := flag.Bool("progress", false, "render live simulation progress on stderr")
-	serveAddr := flag.String("serve", "", "serve the live observability plane on this address (/metrics, /events, /status, /healthz, /debug/pprof)")
-	journalPath := flag.String("journal", "", "journal for -seed-source measured campaigns (crash-safe JSONL; enables -resume)")
-	resume := flag.Bool("resume", false, "restore completed injections from the -journal file instead of re-executing them")
-	watchdog := flag.Duration("watchdog", 0, "per-injection wall-clock bound for measured campaigns (0 = off)")
+	t.TelemetryFlags(true)
+	t.CampaignFlags() // for -seed-source measured
 	flag.Parse()
 
 	format, err := report.ParseFormat(*formatFlag)
 	if err != nil {
-		fatal(err)
+		t.Fatal(err)
 	}
+	t.Open()
 
-	if telem, err = obs.Open(obs.Options{
-		MetricsOut: *metricsOut, EventsJSON: *eventsJSON,
-		Progress: *progress, Serve: *serveAddr != "",
-	}); err != nil {
-		fatal(err)
+	probs, err := resolveProbabilities(t.Context(0), t, *seedSource, *appName, *n, *seed)
+	if cli.Interrupted(err) {
+		t.Finish(true, "")
 	}
-	if *serveAddr != "" {
-		if plane, err = serve.ForSinks(*serveAddr, telem); err != nil {
-			fatal(err)
-		}
-		defer plane.Close()
-		fmt.Fprintf(os.Stderr, "letgo-sim: observability plane on http://%s (metrics, events, status, healthz, debug/pprof)\n", plane.Addr())
-	}
-
-	if *resume && *journalPath == "" {
-		fatal(fmt.Errorf("-resume requires -journal"))
-	}
-	var journal *resilience.Journal
-	if *journalPath != "" {
-		if *resume {
-			journal, err = resilience.Open(*journalPath)
-		} else {
-			journal, err = resilience.Create(*journalPath)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	probs, err := resolveProbabilities(ctx, *seedSource, *appName, *n, *seed, journal, *watchdog)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, errInterrupted) {
-			interrupted(journal)
-		}
-		fatal(err)
+		t.Fatal(err)
 	}
 	// Resolve the checkpoint cost model: "paper" charges T_chk as given;
 	// "derived" runs the memory-dependency analysis on the app and scales
 	// T_chk to the minimal checkpoint set it derives.
-	costOf := func(t float64) float64 { return t }
+	costOf := func(x float64) float64 { return x }
 	var state *analysis.StateSet
 	switch *ckptModel {
 	case "paper":
 	case "derived":
 		a, ok := apps.ByName(*appName)
 		if !ok {
-			fatal(fmt.Errorf("-ckpt-model derived: unknown app %q", *appName))
+			t.Fatal(fmt.Errorf("-ckpt-model derived: unknown app %q", *appName))
 		}
-		sp := telem.Hub.StartSpan("analysis", "app", a.Name)
+		sp := t.Hub.StartSpan("analysis", "app", a.Name)
 		state, err = analysis.CheckpointSet(a)
 		sp.End()
 		if err != nil {
-			fatal(fmt.Errorf("-ckpt-model derived: %w", err))
+			t.Fatal(fmt.Errorf("-ckpt-model derived: %w", err))
 		}
-		costOf = func(t float64) float64 {
-			return checkpoint.DerivedCheckpointCost(t, state.DerivedBytes, state.FullBytes)
+		costOf = func(x float64) float64 {
+			return checkpoint.DerivedCheckpointCost(x, state.DerivedBytes, state.FullBytes)
 		}
-		telem.Status.SetCkptModel("derived")
-		telem.Status.SetAnalysis(state.RegionCount(), state.Live.Count(), state.DerivedBytes, state.FullBytes)
+		t.Status.SetCkptModel("derived")
+		t.Status.SetAnalysis(state.RegionCount(), state.Live.Count(), state.DerivedBytes, state.FullBytes)
 	default:
-		fatal(fmt.Errorf("unknown -ckpt-model %q (want paper or derived)", *ckptModel))
+		t.Fatal(fmt.Errorf("unknown -ckpt-model %q (want paper or derived)", *ckptModel))
 	}
 	var tracer checkpoint.Tracer
-	if telem.Enabled() {
-		tracer = checkpoint.NewObsTracer(telem.Hub, telem.Progress)
-		telem.Hub.Emit(obs.PhaseEvent{App: probs.Name, Phase: "simulate"})
-		telem.Progress.Start("simulate "+probs.Name, 0)
+	if t.Enabled() {
+		tracer = checkpoint.NewObsTracer(t.Hub, t.Progress)
+		t.Hub.Emit(obs.PhaseEvent{App: probs.Name, Phase: "simulate"})
+		t.Progress.Start("simulate "+probs.Name, 0)
 	}
 	if format == report.Text {
 		fmt.Printf("# %s: P_crash=%.3f P_v=%.3f P_v'=%.3f P_letgo=%.3f (%s)\n",
@@ -156,13 +107,12 @@ func main() {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	defer w.Flush()
-
-	if *advise {
+	switch {
+	case *advise:
 		params := checkpoint.ParamsFor(probs, costOf(*tchk), *sync, *mtbFaults)
 		a, err := checkpoint.Advise(params, checkpoint.AdviseConfig{ContinuedSDC: probs.ContinuedSDC, Seed: *seed, Horizon: *horizon})
 		if err != nil {
-			fatal(err)
+			t.Fatal(err)
 		}
 		verdict := "do NOT enable LetGo"
 		if a.UseLetGo {
@@ -171,52 +121,37 @@ func main() {
 		fmt.Fprintf(w, "recommendation\t%s\n", verdict)
 		fmt.Fprintf(w, "reason\t%s\n", a.Reason)
 		fmt.Fprintf(w, "efficiency\tstandard %.4f, letgo %.4f (gain %+.4f)\n", a.EffStandard, a.EffLetGo, a.Gain)
-		finish()
-		return
-	}
-
-	switch *fig {
-	case 7:
-		pts, err := checkpoint.SweepCheckpointCostModelTraced(probs, []float64{12, 120, 1200}, costOf, *sync, *mtbFaults, *seed, *horizon, tracer)
+	case *fig == 7 || *fig == 8:
+		// One sweep, two x axes: checkpoint cost (Figure 7) or scale (8).
+		xLabel, header := "tchk", "T_chk"
+		var pts []checkpoint.Point
+		if *fig == 7 {
+			pts, err = checkpoint.SweepCheckpointCostModelTraced(probs, []float64{12, 120, 1200}, costOf, *sync, *mtbFaults, *seed, *horizon, tracer)
+		} else {
+			xLabel, header = "nodes", "Nodes"
+			pts, err = checkpoint.SweepScaleTraced(probs, costOf(*tchk), *sync, []int{100_000, 200_000, 400_000}, *seed, *horizon, tracer)
+		}
 		if err != nil {
-			fatal(err)
+			t.Fatal(err)
 		}
-		if format != report.Text {
-			rows := report.SimRows(probs.Name, "tchk", pts)
-			annotate(rows, *ckptModel, state)
-			if err := report.Sims(os.Stdout, format, rows); err != nil {
-				fatal(err)
+		rows := report.SimRows(probs.Name, xLabel, pts)
+		if format == report.Text {
+			sweepTable(w, header, rows)
+		} else {
+			if state != nil {
+				// Derived-model provenance (JSON only; absent for the paper
+				// model, keeping existing consumers byte-stable).
+				report.AnnotateCkptModel(rows, *ckptModel, state.DerivedBytes, state.FullBytes)
 			}
-			finish()
-			return
-		}
-		fmt.Fprintf(w, "T_chk\tEff(standard)\tEff(LetGo)\tGain\n")
-		for _, p := range pts {
-			fmt.Fprintf(w, "%.0f\t%.4f\t%.4f\t%+.4f\n", p.X, p.Standard, p.LetGo, p.Gain())
-		}
-	case 8:
-		pts, err := checkpoint.SweepScaleTraced(probs, costOf(*tchk), *sync, []int{100_000, 200_000, 400_000}, *seed, *horizon, tracer)
-		if err != nil {
-			fatal(err)
-		}
-		if format != report.Text {
-			rows := report.SimRows(probs.Name, "nodes", pts)
-			annotate(rows, *ckptModel, state)
 			if err := report.Sims(os.Stdout, format, rows); err != nil {
-				fatal(err)
+				t.Fatal(err)
 			}
-			finish()
-			return
 		}
-		fmt.Fprintf(w, "Nodes\tEff(standard)\tEff(LetGo)\tGain\n")
-		for _, p := range pts {
-			fmt.Fprintf(w, "%.0f\t%.4f\t%.4f\t%+.4f\n", p.X, p.Standard, p.LetGo, p.Gain())
-		}
-	case 0:
+	case *fig == 0:
 		params := checkpoint.ParamsFor(probs, costOf(*tchk), *sync, *mtbFaults)
 		std, lg, err := checkpoint.CompareArms(params, stats.NewRNG(*seed), *horizon, tracer)
 		if err != nil {
-			fatal(err)
+			t.Fatal(err)
 		}
 		fmt.Fprintf(w, "Arm\tEfficiency\tCheckpoints\tRollbacks\tCrashes\tElided\n")
 		fmt.Fprintf(w, "standard\t%.4f\t%d\t%d\t%d\t-\n",
@@ -224,45 +159,28 @@ func main() {
 		fmt.Fprintf(w, "letgo\t%.4f\t%d\t%d\t%d\t%d\n",
 			lg.Efficiency(), lg.Checkpoints, lg.Rollbacks, lg.Crashes, lg.Elided)
 	default:
-		fatal(fmt.Errorf("unknown figure %d (want 7 or 8)", *fig))
+		t.Fatal(fmt.Errorf("unknown figure %d (want 7 or 8)", *fig))
 	}
-	finish()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	t.Finish(false, "")
 }
 
-// annotate stamps derived-model provenance onto sweep rows (JSON only;
-// a no-op for the paper model, keeping existing consumers byte-stable).
-func annotate(rows []report.SimRow, model string, state *analysis.StateSet) {
-	if state == nil {
-		return
-	}
-	report.AnnotateCkptModel(rows, model, state.DerivedBytes, state.FullBytes)
-}
-
-// finish flushes the progress line and writes the metric/event sinks.
-func finish() {
-	telem.Progress.Finish()
-	if err := telem.Close(); err != nil {
-		fatal(err)
+// sweepTable prints a figure's series in the text layout.
+func sweepTable(w io.Writer, header string, rows []report.SimRow) {
+	fmt.Fprintf(w, "%s\tEff(standard)\tEff(LetGo)\tGain\n", header)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%.0f\t%.4f\t%.4f\t%+.4f\n", r.X, r.Standard, r.LetGo, r.Gain)
 	}
 }
 
-// errInterrupted marks a measured campaign cut short by SIGINT/SIGTERM:
-// its partial probabilities would not be reproducible, so the simulation
-// is not seeded from them.
-var errInterrupted = errors.New("measured campaign interrupted; rerun with -resume to finish it")
-
-// interrupted prints the resume hint and exits with the interrupted code.
-func interrupted(j *resilience.Journal) {
-	plane.Close()
-	msg := "letgo-sim: interrupted"
-	if j != nil {
-		msg += fmt.Sprintf(" (resume with -resume -journal %s)", j.Path())
-	}
-	fmt.Fprintln(os.Stderr, msg)
-	os.Exit(3)
-}
-
-func resolveProbabilities(ctx context.Context, source, appName string, n int, seed uint64, journal *resilience.Journal, watchdog time.Duration) (checkpoint.AppProbabilities, error) {
+// resolveProbabilities returns the model's seed probabilities: the
+// paper's Table 3, or a fresh campaign's. A measured campaign cut short
+// by SIGINT/SIGTERM reports the interruption instead: its partial
+// probabilities would not be reproducible, so the simulation is not
+// seeded from them (rerun with -resume to finish it).
+func resolveProbabilities(ctx context.Context, t *cli.Tool, source, appName string, n int, seed uint64) (checkpoint.AppProbabilities, error) {
 	switch source {
 	case "paper":
 		p, ok := checkpoint.PaperAppByName(appName)
@@ -275,28 +193,16 @@ func resolveProbabilities(ctx context.Context, source, appName string, n int, se
 		if !ok {
 			return checkpoint.AppProbabilities{}, fmt.Errorf("unknown app %q", appName)
 		}
-		c := &inject.Campaign{
-			App: a, Mode: inject.LetGoE, N: n, Seed: seed,
-			Journal: journal, Watchdog: watchdog,
-		}
-		if telem.Enabled() {
-			c.Obs = telem.Hub
-			c.Observer = inject.NewObsObserver(a.Name, inject.LetGoE, n, telem.Hub, telem.Progress, telem.Status)
-		}
+		c := &inject.Campaign{App: a, Mode: inject.LetGoE, N: n, Seed: seed}
+		t.Observe(c)
 		r, err := c.RunContext(ctx)
 		if err != nil {
 			return checkpoint.AppProbabilities{}, err
 		}
 		if r.Interrupted {
-			return checkpoint.AppProbabilities{}, errInterrupted
+			return checkpoint.AppProbabilities{}, context.Canceled
 		}
 		return letgo.ProbabilitiesFromCampaign(r)
 	}
 	return checkpoint.AppProbabilities{}, fmt.Errorf("unknown seed source %q", source)
-}
-
-func fatal(err error) {
-	plane.Close()
-	fmt.Fprintln(os.Stderr, "letgo-sim:", err)
-	os.Exit(1)
 }

@@ -1,5 +1,5 @@
-// letgo-vet lints assembled or compiled programs using the analyzer
-// framework in internal/analysis: unreachable blocks, execution falling
+// letgo-vet lints assembled or compiled programs using the passes of
+// internal/analysis: unreachable blocks, execution falling
 // off a function's end, misaligned memory offsets, reads of never-written
 // registers, unbalanced push/pop along any path, calls into non-function
 // addresses, branches out of the code segment, writes to regions that are
@@ -13,7 +13,7 @@
 //	letgo-vet -embedded examples            # lint MiniC embedded in Go files
 //	letgo-vet -cfg prog.s                   # dump the CFG instead
 //	letgo-vet -state -apps all              # print derived checkpoint sets
-//	letgo-vet -passes                       # list the registered analyzers
+//	letgo-vet -passes                       # list the analysis passes
 //
 // Exit-code contract, identical across every -format:
 //
@@ -35,8 +35,7 @@ import (
 	"strings"
 
 	"github.com/letgo-hpc/letgo/internal/analysis"
-	"github.com/letgo-hpc/letgo/internal/apps"
-	"github.com/letgo-hpc/letgo/internal/asm"
+	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/lang"
 )
@@ -65,7 +64,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text or json")
 	dumpCFG := flag.Bool("cfg", false, "dump the control-flow graph instead of linting")
 	dumpState := flag.Bool("state", false, "print the derived checkpoint state set of each target that declares acceptance globals, instead of linting")
-	listPasses := flag.Bool("passes", false, "list the registered analysis passes and exit")
+	listPasses := flag.Bool("passes", false, "list the analysis passes and exit")
 	flag.Parse()
 
 	if *listPasses {
@@ -95,11 +94,11 @@ func main() {
 		targets = append(targets, ts...)
 	}
 	for _, path := range flag.Args() {
-		tg, err := fileTarget(path)
+		prog, err := cli.LoadFile(path)
 		if err != nil {
 			fatal(err)
 		}
-		targets = append(targets, tg)
+		targets = append(targets, target{name: path, prog: prog})
 	}
 	if len(targets) == 0 {
 		fmt.Fprintln(os.Stderr, "letgo-vet: nothing to lint (give files, -apps or -embedded)")
@@ -178,17 +177,9 @@ func main() {
 
 // appTargets resolves -apps into compiled benchmark programs.
 func appTargets(sel string) ([]target, error) {
-	var list []*apps.App
-	if strings.EqualFold(sel, "all") {
-		list = apps.All()
-	} else {
-		for _, name := range strings.Split(sel, ",") {
-			a, ok := apps.ByName(strings.TrimSpace(name))
-			if !ok {
-				return nil, fmt.Errorf("unknown app %q", name)
-			}
-			list = append(list, a)
-		}
+	list, err := cli.SelectApps(sel)
+	if err != nil {
+		return nil, err
 	}
 	var out []target
 	for _, a := range list {
@@ -199,31 +190,6 @@ func appTargets(sel string) ([]target, error) {
 		out = append(out, target{name: a.Name, prog: p, outputs: a.AcceptanceGlobals()})
 	}
 	return out, nil
-}
-
-// fileTarget loads one program file by extension: .s assembles, .mc
-// compiles, .lgo loads an object image.
-func fileTarget(path string) (target, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return target{}, err
-	}
-	var prog *isa.Program
-	switch {
-	case strings.HasSuffix(path, ".s"):
-		prog, err = asm.Assemble(string(data))
-	case strings.HasSuffix(path, ".mc"):
-		prog, err = lang.Compile(string(data))
-	case strings.HasSuffix(path, ".lgo"):
-		prog = &isa.Program{}
-		err = prog.UnmarshalBinary(data)
-	default:
-		err = fmt.Errorf("unknown file type %q (want .s, .mc or .lgo)", path)
-	}
-	if err != nil {
-		return target{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return target{name: path, prog: prog}, nil
 }
 
 // embeddedTargets walks a directory tree for Go files and compiles every
@@ -284,7 +250,4 @@ func embeddedMiniC(path string) (map[string]string, error) {
 	return out, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "letgo-vet:", err)
-	os.Exit(1)
-}
+func fatal(err error) { cli.Fatal("letgo-vet", err) }

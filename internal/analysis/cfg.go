@@ -73,12 +73,12 @@ type Func struct {
 // symbol-table function.
 func (f *Func) Anonymous() bool { return f.Sym.Name == "" }
 
-// Analysis is the shared fact store of the pass framework: every pass
-// writes its facts here exactly once, and facts are never mutated after
-// their pass completes, so an Analysis is safe for concurrent readers.
-// Build it with Analyze, which runs the base passes (cfg, stackdepth,
-// liveness) eagerly; heavier passes (regions, deps) run on first demand
-// through Require.
+// Analysis is the shared fact store of the passes: every pass writes its
+// facts here exactly once, and facts are never mutated after their pass
+// completes, so an Analysis is safe for concurrent readers. Build it with
+// Analyze, which runs the base passes (cfg, stackdepth, liveness)
+// eagerly; the heavier passes run on first demand (Regions, and deps
+// under CheckpointSet).
 type Analysis struct {
 	Prog   *isa.Program
 	Blocks []*Block
@@ -100,7 +100,7 @@ type Analysis struct {
 	// from instruction i.
 	liveIn, liveOut []RegSet
 
-	// regions is the PassRegions fact; deps the PassDeps fact.
+	// regions is the regions pass's fact; deps the deps pass's.
 	regions *Regions
 	deps    *Deps
 }
@@ -128,13 +128,18 @@ func (a *Analysis) FuncAt(addr uint64) (*Func, bool) {
 }
 
 // Analyze builds the CFG and runs the stack-depth and liveness dataflows
-// (the framework's base passes). It never fails: malformed flow (branches
+// (the base passes). It never fails: malformed flow (branches
 // out of the code segment, fall-off ends) is recorded as block attributes
 // and surfaced by Vet.
 func Analyze(prog *isa.Program) *Analysis {
 	a := &Analysis{Prog: prog}
-	a.Require(PassStackDepth)
-	a.Require(PassLiveness)
+	a.timed(passCFG, func() {
+		a.buildFuncs()
+		a.buildBlocks()
+		a.markReachable()
+	})
+	a.timed(passStackDepth, a.computeDepths)
+	a.timed(passLiveness, a.computeLiveness)
 	return a
 }
 

@@ -72,10 +72,8 @@ func (a *Analysis) CheckpointSet(outputs []string) (*StateSet, error) {
 	if len(outputs) == 0 {
 		return nil, fmt.Errorf("checkpoint set: no acceptance outputs declared")
 	}
-	a.Require(PassDeps)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.regions
+	r := a.Regions()
+	a.depsOnce.Do(func() { a.timed(passDeps, a.computeDeps) })
 
 	seeds := r.NewSet()
 	sorted := append([]string(nil), outputs...)

@@ -24,7 +24,7 @@ import (
 // operand a function (or any caller on the path to it) evaluates taint
 // every store the function performs.
 
-// Deps is the PassDeps fact.
+// Deps is the deps pass's fact.
 type Deps struct {
 	// MemFlow[r] is the set of regions whose contents may influence the
 	// values stored into region r (data, address, or control flow). It
@@ -121,7 +121,7 @@ type depState struct {
 	changed bool
 }
 
-// computeDeps is PassDeps's run function.
+// computeDeps is the deps pass; it reads the regions pass's facts.
 func (a *Analysis) computeDeps() {
 	r := a.regions
 	s := &depState{r: r}

@@ -5,117 +5,62 @@ import (
 	"time"
 )
 
-// The pass framework is a small, static cousin of golang.org/x/tools'
-// go/analysis: every derived fact about a program is produced by a named
-// Pass with declared dependencies, all passes share one fact store (the
-// Analysis), and each pass runs at most once per Analysis no matter how
-// many consumers (letgo-vet, Heuristic II, CheckpointSet) demand its
-// facts. Passes are lazy: Analyze runs the base tier every consumer
-// needs (cfg, stackdepth, liveness), and the heavier region/dependency
-// passes run on first demand.
+// Every derived fact about a program comes from one of five passes that
+// run in a fixed chain, each at most once per Analysis no matter how many
+// consumers (letgo-vet, Heuristic II, CheckpointSet) read its facts:
+// Analyze runs the base tier every consumer needs (cfg, stackdepth,
+// liveness); the heavier regions and deps passes run on first demand.
 //
 // Passes never fail. Malformed programs degrade to conservative facts
 // ("unknown depth", "may touch any region") that Vet separately reports,
 // so a consumer can always trust that a fact it reads is sound, just not
 // always precise.
 
-// Pass is one analysis pass: a named unit that derives facts from the
-// program and the facts of the passes it Requires.
-type Pass struct {
-	// Name identifies the pass in PassStats and the letgo-vet -passes
-	// listing.
-	Name string
-	// Doc is a one-line description of the facts the pass computes.
-	Doc string
-	// Requires lists passes whose facts must exist before run executes.
-	Requires []*Pass
-	// run computes the pass's facts and stores them on a. It runs under
-	// the Analysis mutex, exactly once per Analysis.
-	run func(a *Analysis)
-}
-
-// The registered passes, in dependency order.
-var (
-	// PassCFG partitions code into functions and basic blocks and marks
-	// reachability; every other pass starts from its graph.
-	PassCFG = &Pass{
-		Name: "cfg",
-		Doc:  "functions, basic blocks, intra-function edges, reachability",
-		run: func(a *Analysis) {
-			a.buildFuncs()
-			a.buildBlocks()
-			a.markReachable()
-		},
-	}
-	// PassStackDepth runs the forward sp/bp interval dataflow behind
-	// Heuristic II's frame bound.
-	PassStackDepth = &Pass{
-		Name:     "stackdepth",
-		Doc:      "per-PC sp/bp depth intervals (Heuristic II frame bounds)",
-		Requires: []*Pass{PassCFG},
-		run:      (*Analysis).computeDepths,
-	}
-	// PassLiveness runs the backward register-liveness dataflow behind
-	// the dead-destination fault classification.
-	PassLiveness = &Pass{
-		Name:     "liveness",
-		Doc:      "per-PC live register sets over both files",
-		Requires: []*Pass{PassCFG},
-		run:      (*Analysis).computeLiveness,
-	}
-	// PassRegions computes the memory-region map and per-PC read/write
-	// region summaries via address-expression tracking.
-	PassRegions = &Pass{
-		Name:     "regions",
-		Doc:      "memory regions and per-PC read/write region summaries",
-		Requires: []*Pass{PassCFG, PassStackDepth},
-		run:      (*Analysis).computeRegions,
-	}
-	// PassDeps computes the interprocedural region dependency graph
-	// (which regions' contents flow, by data or control, into which).
-	PassDeps = &Pass{
-		Name:     "deps",
-		Doc:      "interprocedural region dependency graph",
-		Requires: []*Pass{PassRegions},
-		run:      (*Analysis).computeDeps,
-	}
-)
-
-// Passes lists every registered pass in dependency order.
-func Passes() []*Pass {
-	return []*Pass{PassCFG, PassStackDepth, PassLiveness, PassRegions, PassDeps}
-}
-
-// PassStat records one executed pass and its wall-clock cost, for the
-// letgo_analysis_* observability surface.
+// PassStat names one pass: what it computes and, in PassStats, what it
+// cost on this Analysis (the letgo_analysis_* observability surface).
 type PassStat struct {
 	Name    string
+	Doc     string
 	Seconds float64
 }
 
-// Require runs p (and, first, everything it requires) unless it already
-// ran on this Analysis. Safe for concurrent use; facts are immutable
-// once their pass completes.
-func (a *Analysis) Require(p *Pass) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.require(p)
+// The five passes, in the order they run.
+const (
+	passCFG = iota
+	passStackDepth
+	passLiveness
+	passRegions
+	passDeps
+)
+
+var passes = [...]PassStat{
+	passCFG:        {Name: "cfg", Doc: "functions, basic blocks, intra-function edges, reachability"},
+	passStackDepth: {Name: "stackdepth", Doc: "per-PC sp/bp depth intervals (Heuristic II frame bounds)"},
+	passLiveness:   {Name: "liveness", Doc: "per-PC live register sets over both files"},
+	passRegions:    {Name: "regions", Doc: "memory regions and per-PC read/write region summaries"},
+	passDeps:       {Name: "deps", Doc: "interprocedural region dependency graph"},
 }
 
-func (a *Analysis) require(p *Pass) {
-	if a.done == nil {
-		a.done = make(map[*Pass]bool)
-	}
-	if a.done[p] {
-		return
-	}
-	for _, r := range p.Requires {
-		a.require(r)
-	}
+// Passes lists every pass in the order it runs (letgo-vet -passes).
+func Passes() []PassStat { return append([]PassStat(nil), passes[:]...) }
+
+// passState is the run-once bookkeeping embedded in Analysis.
+type passState struct {
+	regionsOnce, depsOnce sync.Once
+
+	mu    sync.Mutex // guards stats: a lazy pass may finish under a reader
+	stats []PassStat
+}
+
+// timed runs one pass and records its wall-clock cost.
+func (a *Analysis) timed(pass int, run func()) {
 	start := time.Now()
-	p.run(a)
-	a.stats = append(a.stats, PassStat{Name: p.Name, Seconds: time.Since(start).Seconds()})
-	a.done[p] = true
+	run()
+	st := passes[pass]
+	st.Seconds = time.Since(start).Seconds()
+	a.mu.Lock()
+	a.stats = append(a.stats, st)
+	a.mu.Unlock()
 }
 
 // PassStats returns the passes that have run on this Analysis, in
@@ -123,14 +68,5 @@ func (a *Analysis) require(p *Pass) {
 func (a *Analysis) PassStats() []PassStat {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]PassStat, len(a.stats))
-	copy(out, a.stats)
-	return out
-}
-
-// passState is the framework bookkeeping embedded in Analysis.
-type passState struct {
-	mu    sync.Mutex
-	done  map[*Pass]bool
-	stats []PassStat
+	return append([]PassStat(nil), a.stats...)
 }

@@ -181,7 +181,7 @@ func (s RegionSet) Members() []int {
 	return out
 }
 
-// Regions is the PassRegions fact: the region map plus per-instruction
+// Regions is the regions pass's fact: the region map plus per-instruction
 // read/write region summaries.
 type Regions struct {
 	// All lists every region, index-addressable.
@@ -230,11 +230,11 @@ func (r *Regions) RegionAt(addr uint64, prog *isa.Program) (int, bool) {
 
 // Regions returns the region facts, running the pass on first use.
 func (a *Analysis) Regions() *Regions {
-	a.Require(PassRegions)
+	a.regionsOnce.Do(func() { a.timed(passRegions, a.computeRegions) })
 	return a.regions
 }
 
-// computeRegions is PassRegions's run function.
+// computeRegions is the regions pass.
 func (a *Analysis) computeRegions() {
 	r := &Regions{}
 	add := func(kind RegionKind, name string, addr, size uint64, fn int) int {

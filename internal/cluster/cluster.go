@@ -224,6 +224,19 @@ func Run(cfg Config) (*Result, error) {
 	takeCheckpoint()
 	var checkpointAt uint64 // retirement count of the last checkpoint
 
+	// segment is the longest stretch any rank has run past the last
+	// checkpoint. A rank that halted before an earlier barrier sits below
+	// checkpointAt and contributes nothing (the subtraction would wrap).
+	segment := func() uint64 {
+		var longest uint64
+		for _, r := range ranks {
+			if ret := r.machine.Retired; ret > checkpointAt && ret-checkpointAt > longest {
+				longest = ret - checkpointAt
+			}
+		}
+		return longest
+	}
+
 	rollback := func() {
 		res.Rollbacks++
 		res.Cost += cfg.RecoveryCost
@@ -273,26 +286,14 @@ func Run(cfg Config) (*Result, error) {
 
 		if anyDead {
 			// Coordinated rollback: the lockstep segment is lost.
-			lost := uint64(0)
-			for _, r := range ranks {
-				if seg := r.machine.Retired - checkpointAt; seg > lost {
-					lost = seg
-				}
-			}
-			res.Cost += lost
+			res.Cost += segment()
 			rollback()
 			continue
 		}
 
 		if allDone {
 			// The job finished: the last partial segment is useful.
-			last := uint64(0)
-			for _, r := range ranks {
-				if seg := r.machine.Retired - checkpointAt; seg > last {
-					last = seg
-				}
-			}
-			res.Cost += last
+			res.Cost += segment()
 			res.Useful = ranks[0].machine.Retired
 			res.Completed = true
 			for _, r := range ranks {

@@ -239,3 +239,36 @@ func TestPinnedResults(t *testing.T) {
 		}
 	}
 }
+
+// TestHaltedRankDoesNotWrapCost pins the configuration that found the
+// defect: a rank that halts before a barrier keeps Retired below the next
+// checkpointAt, and the unsigned segment length used to wrap into Cost
+// (18 446 744 073 709 389 321 without LetGo). With the subtraction
+// saturated both arms show what the job really does: the surviving rank,
+// silently corrupted, never halts, and the job runs into the default cost
+// cap (1000 intervals) one barrier step at a time.
+func TestHaltedRankDoesNotWrapCost(t *testing.T) {
+	const interval, maxCost = 50_000, 1000 * 50_000
+	for _, tc := range []struct {
+		letgo bool
+		want  Result
+	}{
+		{false, Result{Cost: 50000958, Checkpoints: 161, Rollbacks: 8720, FaultsInjected: 8538}},
+		{true, Result{Cost: 50000325, Checkpoints: 37, Rollbacks: 32140, FaultsInjected: 8229, CrashesElided: 280}},
+	} {
+		got, err := Run(Config{
+			Prog: snapProg(t), Ranks: 2, UseLetGo: tc.letgo,
+			CheckpointInterval: interval, MeanInstrsBetweenFaults: 6_000, Seed: 105,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost <= maxCost || got.Cost > maxCost+interval {
+			t.Errorf("letgo=%v: Cost %d is not one step past the cap %d", tc.letgo, got.Cost, maxCost)
+		}
+		got.RankMachines = nil
+		if !reflect.DeepEqual(*got, tc.want) {
+			t.Errorf("letgo=%v:\n got %+v\nwant %+v", tc.letgo, *got, tc.want)
+		}
+	}
+}

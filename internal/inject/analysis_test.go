@@ -25,13 +25,13 @@ func analysisApp(t *testing.T) *apps.App {
 func TestCampaignAnalysisPhase(t *testing.T) {
 	a := analysisApp(t)
 	var events bytes.Buffer
-	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events)}
 	status := obs.NewCampaignStatus()
+	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events), Status: status}
 	const n = 40
 	c := &Campaign{
 		App: a, Mode: LetGoE, N: n, Seed: 11, Workers: 2,
 		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil, status),
+		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
 	}
 	res, err := c.Run()
 	if err != nil {

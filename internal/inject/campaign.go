@@ -341,30 +341,27 @@ func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
 
 // reportAnalysis mirrors the memory-dependency analysis results into the
 // observability plane: letgo_analysis_* gauges for region counts and
-// derived bytes, per-pass durations into the span taxonomy, and an
-// optional observer extension for /status.
+// derived bytes, the same summary on /status, and per-pass durations into
+// the span taxonomy.
 func (c *Campaign) reportAnalysis(an *pin.Analysis, ss *analysis.StateSet) {
-	if c.Obs != nil {
-		app := c.App.Name
-		c.Obs.Gauge("letgo_analysis_regions", "app", app).Set(float64(ss.RegionCount()))
-		c.Obs.Gauge("letgo_analysis_live_regions", "app", app).Set(float64(ss.Live.Count()))
-		c.Obs.Gauge("letgo_analysis_derived_checkpoint_bytes", "app", app).Set(float64(ss.DerivedBytes))
-		c.Obs.Gauge("letgo_analysis_full_state_bytes", "app", app).Set(float64(ss.FullBytes))
-		c.Obs.Gauge("letgo_analysis_repair_safe_sites", "app", app).Set(float64(ss.SafeSites))
-		c.Obs.Gauge("letgo_analysis_dest_sites", "app", app).Set(float64(ss.DestSites))
-		// Pass durations land in the same histogram family as lifecycle
-		// spans, named analysis/<pass>, so they render under -serve with
-		// the rest of the span taxonomy.
-		for _, st := range an.Static().PassStats() {
-			name := "analysis/" + st.Name
-			c.Obs.Histogram(obs.SpanHistogram, obs.SpanBuckets, "span", name).Observe(st.Seconds)
-			c.Obs.Emit(obs.SpanEvent{Name: name, Attrs: map[string]string{"app": app}, Seconds: st.Seconds})
-		}
+	if c.Obs == nil {
+		return
 	}
-	if o, ok := c.Observer.(interface {
-		Analyzed(regions, liveRegions int, derivedBytes, fullBytes uint64)
-	}); ok {
-		o.Analyzed(ss.RegionCount(), ss.Live.Count(), ss.DerivedBytes, ss.FullBytes)
+	app := c.App.Name
+	c.Obs.Gauge("letgo_analysis_regions", "app", app).Set(float64(ss.RegionCount()))
+	c.Obs.Gauge("letgo_analysis_live_regions", "app", app).Set(float64(ss.Live.Count()))
+	c.Obs.Gauge("letgo_analysis_derived_checkpoint_bytes", "app", app).Set(float64(ss.DerivedBytes))
+	c.Obs.Gauge("letgo_analysis_full_state_bytes", "app", app).Set(float64(ss.FullBytes))
+	c.Obs.Gauge("letgo_analysis_repair_safe_sites", "app", app).Set(float64(ss.SafeSites))
+	c.Obs.Gauge("letgo_analysis_dest_sites", "app", app).Set(float64(ss.DestSites))
+	c.Obs.Status.SetAnalysis(ss.RegionCount(), ss.Live.Count(), ss.DerivedBytes, ss.FullBytes)
+	// Pass durations land in the same histogram family as lifecycle
+	// spans, named analysis/<pass>, so they render under -serve with
+	// the rest of the span taxonomy.
+	for _, st := range an.Static().PassStats() {
+		name := "analysis/" + st.Name
+		c.Obs.Histogram(obs.SpanHistogram, obs.SpanBuckets, "span", name).Observe(st.Seconds)
+		c.Obs.Emit(obs.SpanEvent{Name: name, Attrs: map[string]string{"app": app}, Seconds: st.Seconds})
 	}
 }
 

@@ -101,22 +101,15 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 }
 
 // reportShard mirrors a non-trivial work unit into the obs plane:
-// letgo_shard_* gauges and the observer's optional Sharded extension
-// (which feeds the /status snapshot).
+// letgo_shard_* gauges and the /status snapshot's shard fields.
 func (c *Campaign) reportShard(unit *WorkUnit) {
-	if unit.Spec.IsZero() {
+	if unit.Spec.IsZero() || c.Obs == nil {
 		return
 	}
-	if c.Obs != nil {
-		c.Obs.Gauge("letgo_shard_index").Set(float64(unit.Spec.Index))
-		c.Obs.Gauge("letgo_shard_count").Set(float64(unit.Spec.Count))
-		c.Obs.Gauge("letgo_shard_planned_injections", "app", c.App.Name).Set(float64(unit.Size()))
-	}
-	if o, ok := c.Observer.(interface {
-		Sharded(index, count, planned int)
-	}); ok {
-		o.Sharded(unit.Spec.Index, unit.Spec.Count, unit.Size())
-	}
+	c.Obs.Gauge("letgo_shard_index").Set(float64(unit.Spec.Index))
+	c.Obs.Gauge("letgo_shard_count").Set(float64(unit.Spec.Count))
+	c.Obs.Gauge("letgo_shard_planned_injections", "app", c.App.Name).Set(float64(unit.Size()))
+	c.Obs.Status.SetShard(unit.Spec.Index, unit.Spec.Count, unit.Size())
 }
 
 // aggregate folds the unit's classified injections into a Result.
@@ -188,11 +181,6 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Exec
 		return 0, nil
 	}
 	done := j.Completed(c.journalKey())
-	// Observers that track live status learn about restored injections
-	// through the optional Restored extension (obsObserver implements it).
-	restoredObs, _ := c.Observer.(interface {
-		Restored(index int, class outcome.Class)
-	})
 	resumed := 0
 	for i, rec := range done {
 		if !unit.Has(i) {
@@ -206,12 +194,10 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Exec
 		completed[i] = true
 		resumed++
 		if c.Obs != nil {
-			// Keep the engine-independent class tally aligned with the
-			// table a resumed campaign will render.
+			// Keep the engine-independent class tally and /status aligned
+			// with the table a resumed campaign will render.
 			c.Obs.Counter("letgo_outcomes_total", "class", r.Class.String()).Inc()
-		}
-		if restoredObs != nil {
-			restoredObs.Restored(i, r.Class)
+			c.Obs.Status.RecordRestored(r.Class.String(), r.Class.Quarantined())
 		}
 	}
 	if resumed > 0 && c.Obs != nil {

@@ -561,7 +561,7 @@ func TestCampaignObserverDeterminism(t *testing.T) {
 	observed := &Campaign{
 		App: a, Mode: LetGoE, N: 60, Seed: 99, Workers: 2,
 		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, 60, hub, prog, nil),
+		Observer: NewObsObserver(a.Name, LetGoE, 60, hub, prog),
 	}
 	r2, err := observed.Run()
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // obsObserver records campaign activity into a hub's metrics and event
-// stream and drives an optional live progress reporter and an optional
-// live status tracker (the /status endpoint's source). All callbacks are
+// stream and drives an optional live progress reporter and the hub's live
+// status tracker (the /status endpoint's source). All callbacks are
 // concurrency-safe (the hub's primitives are atomic or mutexed).
 type obsObserver struct {
 	app    string
@@ -23,16 +23,19 @@ type obsObserver struct {
 
 // NewObsObserver returns an Observer that mirrors a campaign of n
 // injections against the named app (running in the given mode) into hub
-// (metrics and JSONL events), prog (live progress) and status (the
-// /status snapshot source). Any sink may be nil.
-func NewObsObserver(app string, mode Mode, n int, hub *obs.Hub, prog *obs.Progress, status *obs.CampaignStatus) Observer {
-	o := &obsObserver{app: app, n: n, hub: hub, prog: prog, status: status}
-	if hub != nil && hub.Reg != nil {
-		hub.Reg.Help("letgo_injections_total", "Classified injections, by app and Figure-4 class.")
-		hub.Reg.Help("letgo_crash_latency_instructions", "Injection-to-crash distance in dynamic instructions.")
-		hub.Reg.Help("letgo_worker_injections_total", "Injections executed, by campaign worker.")
+// (metrics, JSONL events and, when the hub carries one, the /status
+// tracker) and prog (live progress). Either sink may be nil.
+func NewObsObserver(app string, mode Mode, n int, hub *obs.Hub, prog *obs.Progress) Observer {
+	o := &obsObserver{app: app, n: n, hub: hub, prog: prog}
+	if hub != nil {
+		o.status = hub.Status
+		if hub.Reg != nil {
+			hub.Reg.Help("letgo_injections_total", "Classified injections, by app and Figure-4 class.")
+			hub.Reg.Help("letgo_crash_latency_instructions", "Injection-to-crash distance in dynamic instructions.")
+			hub.Reg.Help("letgo_worker_injections_total", "Injections executed, by campaign worker.")
+		}
 	}
-	status.Begin(app, mode.String(), n)
+	o.status.Begin(app, mode.String(), n)
 	return o
 }
 
@@ -75,27 +78,6 @@ func (o *obsObserver) Executed(e Execution) {
 	}
 	o.status.Record(e.Class.String(), e.Class.Quarantined())
 	o.prog.Step(e.Class.String())
-}
-
-// Analyzed mirrors the memory-dependency analysis summary into the status
-// tracker (the campaign calls it through the optional Analyzed extension).
-func (o *obsObserver) Analyzed(regions, liveRegions int, derivedBytes, fullBytes uint64) {
-	o.status.SetAnalysis(regions, liveRegions, derivedBytes, fullBytes)
-}
-
-// Sharded mirrors the executing work unit's identity into the status
-// tracker (the campaign calls it through the optional Sharded extension
-// when running as one shard of a partitioned campaign).
-func (o *obsObserver) Sharded(index, count, planned int) {
-	o.status.SetShard(index, count, planned)
-}
-
-// Restored mirrors a journal-restored injection into the status tracker
-// (the campaign calls it through the optional Restored extension). No
-// events, metrics or progress fire for restored work beyond the campaign-
-// level resume record.
-func (o *obsObserver) Restored(index int, class outcome.Class) {
-	o.status.RecordRestored(class.String(), class.Quarantined())
 }
 
 func (o *obsObserver) Done(res *Result) {

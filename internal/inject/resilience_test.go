@@ -111,7 +111,7 @@ func TestCampaignPanicQuarantineAndResume(t *testing.T) {
 			c := &Campaign{
 				App: a, Mode: LetGoE, N: n, Seed: 5, Workers: 2, Engine: eng,
 				Journal: j, Obs: hub,
-				Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil, nil),
+				Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
 			}
 			// Panic on every attempt: retry fails too, so injection 7 is
 			// quarantined as C-HarnessFault and the campaign moves on.
@@ -150,13 +150,17 @@ func TestCampaignPanicQuarantineAndResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &recordingObserver{}
+			status := obs.NewCampaignStatus()
 			c2 := &Campaign{
 				App: a, Mode: LetGoE, N: n, Seed: 5, Workers: 2, Engine: eng,
-				Journal: j2, Observer: rec,
+				Journal: j2, Observer: rec, Obs: &obs.Hub{Reg: obs.NewRegistry(), Status: status},
 			}
 			r2, err := c2.Run()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if snap := status.Snapshot(); snap.Resumed != n || snap.Completed != n {
+				t.Errorf("/status after resume: resumed=%d completed=%d, want %d", snap.Resumed, snap.Completed, n)
 			}
 			if r2.Resumed != n || rec.executed.Load() != 0 {
 				t.Errorf("resume re-executed work: resumed=%d executed=%d", r2.Resumed, rec.executed.Load())

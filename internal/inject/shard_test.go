@@ -17,6 +17,7 @@ import (
 
 	"github.com/letgo-hpc/letgo/internal/apps"
 	"github.com/letgo-hpc/letgo/internal/inject"
+	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/resilience"
 )
 
@@ -245,7 +246,13 @@ func TestShardWriterIdentity(t *testing.T) {
 		filepath.Join(dir, "s3.jsonl"),
 	}
 	runShard(t, c, inject.ShardSpec{Index: 1, Count: 3}, paths[0], false)
+	status := obs.NewCampaignStatus()
+	c.Obs = &obs.Hub{Reg: obs.NewRegistry(), Status: status}
 	runShard(t, c, inject.ShardSpec{Index: 3, Count: 3}, paths[1], false)
+	c.Obs = nil
+	if snap := status.Snapshot(); snap.Shard != "3/3" || snap.ShardPlanned != 3 {
+		t.Errorf("/status shard = %q planned %d, want 3/3 planned 3", snap.Shard, snap.ShardPlanned)
+	}
 
 	j1, err := resilience.Open(paths[0])
 	if err != nil {

@@ -20,7 +20,7 @@ func TestCampaignSpanTaxonomy(t *testing.T) {
 	c := &Campaign{
 		App: a, Mode: LetGoE, N: n, Seed: 7, Workers: 2, Engine: EngineFork,
 		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil, nil),
+		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
 	}
 	res, err := c.Run()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/letgo-hpc/letgo/internal/asm"
 	"github.com/letgo-hpc/letgo/internal/vm"
 )
 
@@ -28,7 +29,7 @@ func compileUnfolded(t *testing.T, src string) *vm.Machine {
 
 func runAsm(t *testing.T, text string) *vm.Machine {
 	t.Helper()
-	p, err := CompileAsmForTest(text)
+	p, err := asm.Assemble(text)
 	if err != nil {
 		t.Fatal(err)
 	}

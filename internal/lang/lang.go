@@ -26,9 +26,3 @@ func Compile(src string) (*isa.Program, error) {
 	}
 	return asm.Assemble(text)
 }
-
-// CompileAsmForTest assembles text (test hook avoiding an import cycle in
-// external test helpers).
-func CompileAsmForTest(text string) (*isa.Program, error) {
-	return asm.Assemble(text)
-}

@@ -217,6 +217,11 @@ func (e *Emitter) Err() error {
 type Hub struct {
 	Reg *Registry
 	Em  *Emitter
+	// Status is the /status tracker; nil unless the invocation serves the
+	// live plane (every CampaignStatus method is a no-op on nil). Whoever
+	// holds the hub records a /status fact next to the metric that
+	// reports the same fact.
+	Status *CampaignStatus
 }
 
 // Counter returns the named counter, or nil without a registry.

@@ -45,19 +45,28 @@ type Sinks struct {
 	// serving.
 	Fanout *Fanout
 	// Status tracks live campaign state for /status; nil unless serving.
+	// It is the tracker Hub.Status carries down the stack.
 	Status *CampaignStatus
 
 	metricsPath string
 	events      *atomicio.File
 }
 
-// Open builds sinks from the selected options. The events temp file is
-// created eagerly (so open errors surface before a long run); the
-// metrics dump is written by Close.
+// Open builds sinks from the selected options. Path errors surface here,
+// before a long run: the events temp file is created eagerly, and the
+// metrics dump Close writes is probed with a temp file in its directory
+// (created and removed; the destination is not touched).
 func Open(o Options) (*Sinks, error) {
 	s := &Sinks{metricsPath: o.MetricsOut}
 	var reg *Registry
 	var em *Emitter
+	if o.MetricsOut != "" {
+		probe, err := atomicio.Create(o.MetricsOut)
+		if err != nil {
+			return nil, err
+		}
+		probe.Abort()
+	}
 	if o.MetricsOut != "" || o.Serve {
 		reg = NewRegistry()
 	}
@@ -83,18 +92,12 @@ func Open(o Options) (*Sinks, error) {
 		em = NewEmitter(eventsW)
 	}
 	if reg != nil || em != nil {
-		s.Hub = &Hub{Reg: reg, Em: em}
+		s.Hub = &Hub{Reg: reg, Em: em, Status: s.Status}
 	}
 	if o.Progress {
 		s.Progress = NewProgress(os.Stderr, DefaultProgressInterval)
 	}
 	return s, nil
-}
-
-// OpenSinks builds sinks from the classic CLI flag trio. It is Open
-// without the serve plane.
-func OpenSinks(metricsOut, eventsJSON string, progress bool) (*Sinks, error) {
-	return Open(Options{MetricsOut: metricsOut, EventsJSON: eventsJSON, Progress: progress})
 }
 
 // Enabled reports whether any sink is active.

@@ -11,7 +11,7 @@ func TestSinksAtomicPublish(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	events := filepath.Join(dir, "events.jsonl")
-	s, err := OpenSinks(metrics, events, false)
+	s, err := Open(Options{MetricsOut: metrics, EventsJSON: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,29 @@ func TestSinksAtomicPublish(t *testing.T) {
 }
 
 func TestOpenSinksBadEventsPath(t *testing.T) {
-	if _, err := OpenSinks("", filepath.Join(t.TempDir(), "no", "dir", "e.jsonl"), false); err == nil {
+	if _, err := Open(Options{EventsJSON: filepath.Join(t.TempDir(), "no", "dir", "e.jsonl")}); err == nil {
 		t.Fatal("expected error for unwritable events path")
 	}
 }
 
+// TestOpenProbesMetricsOut: a -metrics-out path that cannot be written
+// fails at Open, before the run, not at Close after it; a good one is
+// probed without leaving anything behind.
+func TestOpenProbesMetricsOut(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(Options{MetricsOut: filepath.Join(dir, "no", "dir", "m.prom")}); err == nil {
+		t.Fatal("expected error for unwritable metrics path")
+	}
+	if _, err := Open(Options{MetricsOut: filepath.Join(dir, "m.prom")}); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("probe left %d file(s) behind, first %s", len(ents), ents[0].Name())
+	}
+}
+
 func TestSinksAllOff(t *testing.T) {
-	s, err := OpenSinks("", "", false)
+	s, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

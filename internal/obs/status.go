@@ -90,9 +90,11 @@ type CampaignStatus struct {
 	now              func() time.Time
 }
 
-// NewCampaignStatus returns an empty tracker.
+// NewCampaignStatus returns an empty tracker. It tallies from the start:
+// a campaign that holds the hub but no observer (a fabric worker's) never
+// calls Begin.
 func NewCampaignStatus() *CampaignStatus {
-	return &CampaignStatus{now: time.Now}
+	return &CampaignStatus{now: time.Now, outcomes: make(map[string]int)}
 }
 
 // SetClock replaces the time source (tests).

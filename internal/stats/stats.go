@@ -159,9 +159,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[rankIndex(len(s), q)]
 }
 
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // QuantileUint64 is Quantile over uint64 samples (instruction counts,
 // latencies) without a lossy float conversion.
 func QuantileUint64(xs []uint64, q float64) uint64 {
@@ -189,30 +186,4 @@ func rankIndex(n int, q float64) int {
 		i = n - 1
 	}
 	return i
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }

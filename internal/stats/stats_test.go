@@ -130,19 +130,6 @@ func TestBinomialCI95(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("mean = %v", m)
-	}
-	if sd := StdDev(xs); math.Abs(sd-2.138) > 0.01 {
-		t.Errorf("stddev = %v", sd)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("degenerate inputs not handled")
-	}
-}
-
 func TestProportionString(t *testing.T) {
 	s := BinomialCI95(62, 100).String()
 	if s == "" {
@@ -215,13 +202,13 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestMedianMatchesUpperMedian(t *testing.T) {
-	// Median is the nearest-rank upper median: for even n it picks
-	// element n/2 of the sorted order, matching the campaign's historical
-	// MedianCrashLatency semantics.
-	if got := Median([]float64{1, 2, 3, 4}); got != 3 {
+	// The 0.5-quantile is the nearest-rank upper median: for even n it
+	// picks element n/2 of the sorted order, matching the campaign's
+	// historical MedianCrashLatency semantics.
+	if got := Quantile([]float64{1, 2, 3, 4}, 0.5); got != 3 {
 		t.Errorf("even median = %v, want 3", got)
 	}
-	if got := Median([]float64{7}); got != 7 {
+	if got := Quantile([]float64{7}, 0.5); got != 7 {
 		t.Errorf("singleton median = %v", got)
 	}
 	if got := MedianUint64([]uint64{10, 30, 20, 40}); got != 30 {
