@@ -51,6 +51,16 @@ func TestInjectCLICoordinatorFlagErrors(t *testing.T) {
 		{"worker with resume",
 			[]string{"-worker", "http://127.0.0.1:1", "-resume"},
 			"no -journal or -resume"},
+		// Fleet flags outside the fleet; an explicit 0 counts as set.
+		{"lease ttl without coordinate",
+			[]string{"-lease-ttl", "0"},
+			"-lease-ttl requires -coordinate"},
+		{"unit size on a worker",
+			[]string{"-worker", "http://127.0.0.1:1", "-unit-size", "5"},
+			"-unit-size requires -coordinate"},
+		{"worker name without worker",
+			[]string{"-coordinate", "127.0.0.1:0", "-journal", journal, "-worker-name", "w"},
+			"-worker-name requires -worker"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

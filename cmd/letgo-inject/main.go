@@ -11,10 +11,10 @@
 //	letgo-inject -journal c.jsonl -n 2000 ...           # killable
 //	letgo-inject -journal c.jsonl -resume -n 2000 ...   # ...and resumable
 //
-// One campaign can be split across independent processes (docs/FABRIC.md):
-// each process plans the same campaign, executes only its i/n shard into
-// its own journal, and a final merge renders the table byte-identically
-// to a single-process run:
+// One campaign can be split across independent processes (docs/FABRIC.md;
+// the flags choose a fabric.Distribution): each process plans the same
+// campaign, executes only its i/n shard into its own journal, and a final
+// merge renders the table byte-identically to a single-process run:
 //
 //	letgo-inject -shard 1/3 -journal s1.jsonl -n 2000 ...  # per shard
 //	letgo-inject -merge 's*.jsonl' -n 2000 ...             # final table
@@ -36,13 +36,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"github.com/letgo-hpc/letgo/internal/cli"
 	"github.com/letgo-hpc/letgo/internal/fabric"
@@ -58,21 +55,8 @@ import (
 type invocation struct {
 	*cli.Tool
 	ctx    context.Context
-	engine inject.Engine // both engines produce identical tables; fork is faster
-	shard  inject.ShardSpec
-
-	// distribute runs one wired campaign; chosen once from the flags.
-	distribute func(*inject.Campaign) (*inject.Result, error)
-
-	// merged is the -merge mode's combined shard journals (nil outside
-	// it), with the file count kept for the JSON provenance annotation.
-	merged         *resilience.Journal
-	mergedJournals int
-
-	// coordinator is the -coordinate fabric coordinator (nil outside it),
-	// with its protocol server kept for shutdown.
-	coordinator *fabric.Coordinator
-	coordSrv    *http.Server
+	engine inject.Engine   // both engines produce identical tables; fork is faster
+	sess   *fabric.Session // the distribution every campaign runs through
 
 	completed, total int
 	interrupted      bool
@@ -119,43 +103,59 @@ func main() {
 		}
 		modes = []inject.Mode{mode}
 	}
+	d := fabric.Distribution{Coordinate: *coordinateFlag,
+		Options: fabric.Options{LeaseTTL: *leaseTTL, UnitSize: *unitSize}}
 	if *shardFlag != "" {
-		if inv.shard, err = inject.ParseShardSpec(*shardFlag); err != nil {
+		if d.Shard, err = inject.ParseShardSpec(*shardFlag); err != nil {
 			inv.Fatal(err)
 		}
 	}
-	fabricMode, static := *coordinateFlag != "" || *workerFlag != "", *shardFlag != "" || *mergeFlag != ""
+	if *mergeFlag != "" {
+		paths, err := filepath.Glob(*mergeFlag)
+		if err != nil {
+			inv.Fatal(fmt.Errorf("resilience: bad merge glob %q: %w", *mergeFlag, err))
+		}
+		d.Merge = append([]string{}, paths...) // non-nil even when nothing matched
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case *coordinateFlag != "" && *workerFlag != "":
 		inv.Fatal(fmt.Errorf("-coordinate and -worker are mutually exclusive (one process is one side of the fabric)"))
-	case fabricMode && static:
+	case *workerFlag != "" && (*shardFlag != "" || *mergeFlag != ""):
 		inv.Fatal(fmt.Errorf("-coordinate/-worker replace static -shard/-merge partitioning; the flags are mutually exclusive"))
-	case *coordinateFlag != "" && !inv.Journaled():
-		inv.Fatal(fmt.Errorf("-coordinate requires -journal (the journal is the coordinator's crash-safe state)"))
 	case *workerFlag != "" && inv.Journaled():
 		inv.Fatal(fmt.Errorf("-worker ships records to the coordinator; it takes no -journal or -resume"))
-	case *shardFlag != "" && *mergeFlag != "":
-		inv.Fatal(fmt.Errorf("-merge and -shard are mutually exclusive"))
-	case *shardFlag != "" && !inv.Journaled():
-		inv.Fatal(fmt.Errorf("-shard requires -journal (the shard journal is what -merge consumes)"))
-	case *mergeFlag != "" && inv.Journaled():
-		inv.Fatal(fmt.Errorf("-merge reads shard journals; it takes no -journal or -resume"))
+	case set["worker-name"] && *workerFlag == "":
+		inv.Fatal(fmt.Errorf("-worker-name requires -worker"))
+	case set["lease-ttl"] && *coordinateFlag == "":
+		inv.Fatal(fmt.Errorf("-lease-ttl requires -coordinate"))
+	case set["unit-size"] && *coordinateFlag == "":
+		inv.Fatal(fmt.Errorf("-unit-size requires -coordinate"))
+	}
+	if err := d.Check(inv.Journaled()); err != nil {
+		inv.Fatal(err)
 	}
 	inv.Open()
 	inv.ctx = inv.Context(*deadline)
-
-	// Pick how a campaign is distributed, once.
-	switch {
-	case *workerFlag != "":
+	if *mergeFlag != "" && len(d.Merge) == 0 {
+		// Merging nothing is always a misconfiguration; an empty table would hide it.
+		inv.Fatal(fmt.Errorf("resilience: merge glob %q matches no journals", *mergeFlag))
+	}
+	if *workerFlag != "" {
 		inv.runWorker(*workerFlag, *workerName, *workers)
-	case *coordinateFlag != "":
-		inv.startCoordinator(*coordinateFlag, fabric.Options{LeaseTTL: *leaseTTL, UnitSize: *unitSize, Hub: inv.Hub})
-		inv.distribute = inv.coordinate
-	case *mergeFlag != "":
-		inv.openMerge(*mergeFlag)
-		inv.distribute = func(c *inject.Campaign) (*inject.Result, error) { return c.MergeContext(inv.ctx, inv.merged) }
-	default:
-		inv.distribute = func(c *inject.Campaign) (*inject.Result, error) { return c.RunContext(inv.ctx) }
+	}
+
+	d.Options.Hub = inv.Hub
+	if inv.sess, err = d.Open(inv.Journal, func(col resilience.Collision) {
+		fmt.Fprintf(os.Stderr, "letgo-inject: shard collision: %s\n", col)
+	}); err != nil {
+		inv.Fatal(err)
+	}
+	if addr := inv.sess.Addr(); addr != "" {
+		fmt.Fprintf(os.Stderr, "letgo-inject: fabric coordinator on http://%s\n", addr)
+		// One scrape target covers campaign and fabric state.
+		inv.Plane.Handle("/fabric/status", inv.sess.StatusHandler())
 	}
 
 	// The one campaign loop: apps × modes, until done or interrupted.
@@ -173,7 +173,7 @@ campaigns:
 	if err := inv.render(format, *compare, len(sel) > 1, results); err != nil {
 		inv.fatal(err)
 	}
-	inv.shutdownFabric()
+	inv.sess.Close()
 	inv.Finish(inv.interrupted || inv.ctx.Err() != nil,
 		fmt.Sprintf(": %d/%d injections completed", inv.completed, inv.total))
 }
@@ -190,17 +190,17 @@ func parseMode(mode string) (inject.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q", mode)
 }
 
-// run wires one campaign to the invocation, distributes it and tallies
-// its completion. It returns nil when the signal (or -deadline) landed
-// before the campaign's injection phase: nothing to render, and the whole
-// campaign counts as outstanding.
+// run wires one campaign to the invocation, runs it through the session
+// and tallies its completion. It returns nil when the signal (or
+// -deadline) landed before the campaign's injection phase: nothing to
+// render, and the whole campaign counts as outstanding.
 func (inv *invocation) run(c *inject.Campaign) *inject.Result {
 	if inv.ctx.Err() != nil {
 		return nil
 	}
-	c.Engine, c.ShardSpec = inv.engine, inv.shard
+	c.Engine = inv.engine
 	inv.Observe(c)
-	r, err := inv.distribute(c)
+	r, err := inv.sess.Run(inv.ctx, c)
 	if cli.Interrupted(err) {
 		inv.total += c.N
 		inv.interrupted = true
@@ -215,24 +215,6 @@ func (inv *invocation) run(c *inject.Campaign) *inject.Result {
 	return r
 }
 
-// coordinate is the -coordinate distribution: plan locally, publish the
-// plan to the fabric work queue, and — once every unit's records have
-// shipped back (or the invocation was interrupted) — render the result
-// from the journal through the same Merge stage a -merge invocation uses,
-// so the table is byte-identical to a single-process run's.
-func (inv *invocation) coordinate(c *inject.Campaign) (*inject.Result, error) {
-	p, err := c.PlanContext(inv.ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := inv.coordinator.Coordinate(inv.ctx, p.Manifest()); err != nil && !cli.Interrupted(err) {
-		return nil, err
-	}
-	// Render with a background context: after SIGINT the partial table
-	// from whatever shipped is exactly what exit code 3 promises.
-	return c.MergeContext(context.Background(), inv.Journal)
-}
-
 // render prints what ran, once: the machine-readable rows, the Figure-5
 // layout (the four Section-5.3 metrics, LetGo-B and LetGo-E side by side)
 // or the Table-3 layout (outcome fractions over all injections).
@@ -241,9 +223,7 @@ func (inv *invocation) render(format report.Format, compare, average bool, resul
 		rows := make([]report.CampaignRow, len(results))
 		for i, r := range results {
 			rows[i] = report.Row(r)
-		}
-		if inv.merged != nil {
-			report.AnnotateMerge(rows, inv.mergedJournals, inv.merged.Writers())
+			rows[i].MergedJournals, rows[i].MergedWriters = inv.sess.Merged()
 		}
 		return report.Campaigns(os.Stdout, format, rows)
 	}
@@ -314,75 +294,8 @@ func (inv *invocation) runWorker(base, name string, workers int) {
 	inv.Finish(err != nil, " (worker)")
 }
 
-// startCoordinator serves the fabric work queue on addr.
-func (inv *invocation) startCoordinator(addr string, opts fabric.Options) {
-	inv.coordinator = fabric.NewCoordinator(inv.Journal, opts)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		inv.Fatal(err)
-	}
-	inv.coordSrv = &http.Server{Handler: inv.coordinator.Handler()}
-	go inv.coordSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
-	fmt.Fprintf(os.Stderr, "letgo-inject: fabric coordinator on http://%s\n", ln.Addr())
-	// The serve plane mirrors the coordinator's snapshot so one scrape
-	// target covers campaign and fabric state.
-	inv.Plane.Handle("/fabric/status", inv.coordinator.StatusHandler())
-}
-
-// openMerge combines the shard journals matching glob, refusing shards
-// that disagree about an injection.
-func (inv *invocation) openMerge(glob string) {
-	merged, collisions, err := resilience.MergeGlob(glob)
-	if err != nil {
-		inv.Fatal(err)
-	}
-	paths, _ := filepath.Glob(glob)
-	inv.merged, inv.mergedJournals = merged, len(paths)
-	if conflicting := inv.reportMerge(collisions); conflicting > 0 {
-		inv.Fatal(fmt.Errorf("%d conflicting shard record(s); refusing to merge (shards disagree about the same injection)", conflicting))
-	}
-}
-
-// reportMerge mirrors a merge's shape into the obs plane — the journal
-// count and the identical/conflicting collision split, as letgo_merge_*
-// counters and /status fields — and returns the conflicting count.
-func (inv *invocation) reportMerge(collisions []resilience.Collision) int {
-	identical, conflicting := 0, 0
-	for _, col := range collisions {
-		fmt.Fprintf(os.Stderr, "letgo-inject: shard collision: %s\n", col)
-		if col.Identical {
-			identical++
-		} else {
-			conflicting++
-		}
-	}
-	if hub := inv.Hub; hub != nil {
-		hub.Reg.Help("letgo_merge_journals_total", "Shard journal files combined by -merge.")
-		hub.Reg.Help("letgo_merge_collisions_total", "Writer-identity collisions across merged shard journals, by kind.")
-		hub.Counter("letgo_merge_journals_total").Add(uint64(inv.mergedJournals))
-		hub.Counter("letgo_merge_collisions_total", "kind", "identical").Add(uint64(identical))
-		hub.Counter("letgo_merge_collisions_total", "kind", "conflicting").Add(uint64(conflicting))
-	}
-	inv.Status.SetMerge(inv.mergedJournals, identical, conflicting)
-	return conflicting
-}
-
-// shutdownFabric ends a coordinate-mode invocation cleanly: tell the
-// fleet the invocation is done, give recently seen workers a moment to
-// hear it, then stop the protocol server.
-func (inv *invocation) shutdownFabric() {
-	if inv.coordinator == nil {
-		return
-	}
-	inv.coordinator.Finish()
-	inv.coordinator.AwaitDrain(3 * time.Second)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	inv.coordSrv.Shutdown(ctx) //nolint:errcheck // exiting either way
-}
-
 // fatal is Fatal once campaigns are under way: the fleet is told first.
 func (inv *invocation) fatal(err error) {
-	inv.shutdownFabric()
+	inv.sess.Close()
 	inv.Fatal(err)
 }

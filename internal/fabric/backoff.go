@@ -6,45 +6,26 @@ import (
 	"time"
 )
 
-// Backoff computes retry delays: exponential growth from Base by Factor,
-// capped at Max, with a uniformly random jitter fraction subtracted so a
-// fleet of workers that lost the coordinator at the same instant does
-// not reconnect in lockstep. The zero value selects sane defaults
-// (100ms base, 5s cap, doubling, half-width jitter).
-type Backoff struct {
-	Base   time.Duration
-	Max    time.Duration
-	Factor float64
-	// Jitter is the fraction of the computed delay randomized away:
-	// the actual delay is uniform in [delay*(1-Jitter), delay].
-	Jitter float64
-}
+// The retry schedule for coordinator calls: from backoffBase, doubling,
+// capped at backoffMax.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
 
-// Delay returns the delay before retry number attempt (0-based: the
-// delay after the first failure is Delay(0)).
-func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
-	if base <= 0 {
-		base = 100 * time.Millisecond
+// backoff returns the delay before retry number attempt (0-based: the
+// delay after the first failure is backoff(0)). Up to half of it is
+// randomized away, so a fleet of workers that lost the coordinator at
+// the same instant does not reconnect in lockstep.
+func backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
+		d *= 2
 	}
-	if max <= 0 {
-		max = 5 * time.Second
+	if d > backoffMax {
+		d = backoffMax
 	}
-	if factor < 1 {
-		factor = 2
-	}
-	if jitter < 0 || jitter > 1 {
-		jitter = 0.5
-	}
-	d := float64(base)
-	for i := 0; i < attempt && d < float64(max); i++ {
-		d *= factor
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	d -= d * jitter * rand.Float64()
-	return time.Duration(d)
+	return d - time.Duration(0.5*rand.Float64()*float64(d))
 }
 
 // sleep waits for d or until ctx is cancelled, reporting whether the

@@ -7,39 +7,19 @@ import (
 )
 
 func TestBackoffDefaults(t *testing.T) {
-	var b Backoff // zero value: 100ms base, 5s cap, doubling, 0.5 jitter
 	for attempt, want := range []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
 		400 * time.Millisecond,
 	} {
-		d := b.Delay(attempt)
+		d := backoff(attempt)
 		if d > want || d < want/2 {
-			t.Errorf("Delay(%d) = %v, want in [%v, %v]", attempt, d, want/2, want)
+			t.Errorf("backoff(%d) = %v, want in [%v, %v]", attempt, d, want/2, want)
 		}
 	}
 	// Far past the doubling horizon the cap holds, jitter included.
-	if d := b.Delay(40); d > 5*time.Second || d < 2500*time.Millisecond {
-		t.Errorf("Delay(40) = %v, want in [2.5s, 5s]", d)
-	}
-}
-
-func TestBackoffNoJitterIsDeterministic(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 2}
-	// An out-of-range jitter falls back to the 0.5 default; an explicit
-	// in-range tiny jitter stays put.
-	if d := b.Delay(0); d > 10*time.Millisecond || d < 5*time.Millisecond {
-		t.Errorf("out-of-range jitter Delay(0) = %v, want in [5ms, 10ms]", d)
-	}
-	b.Jitter = 0.000001 // effectively none: growth is exact
-	for attempt, want := range []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 80 * time.Millisecond, // capped
-	} {
-		d := b.Delay(attempt)
-		if diff := want - d; diff < 0 || diff > time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want ~%v", attempt, d, want)
-		}
+	if d := backoff(40); d > 5*time.Second || d < 2500*time.Millisecond {
+		t.Errorf("backoff(40) = %v, want in [2.5s, 5s]", d)
 	}
 }
 

@@ -25,7 +25,7 @@ const maxBody = 64 << 20
 // answered.
 const holdCap = 25 * time.Second
 
-// Options configures a Coordinator.
+// Options configures a coordinator.
 type Options struct {
 	// LeaseTTL is how long a leased unit survives without a heartbeat
 	// (0 selects DefaultLeaseTTL).
@@ -38,14 +38,14 @@ type Options struct {
 	Hub *obs.Hub
 }
 
-// Coordinator serves the fabric work queue for one letgo-inject
+// coordinator serves the fabric work queue for one letgo-inject
 // invocation: a sequence of campaigns, each partitioned into leased work
 // units. It is safe for concurrent use by its HTTP handlers and the
 // Coordinate caller. All durable state lives in the resilience journal,
 // so a killed coordinator resumes by reopening the journal: units whose
 // indices are all journaled are born complete, everything else is
 // re-dispatched.
-type Coordinator struct {
+type coordinator struct {
 	journal  *resilience.Journal
 	hub      *obs.Hub
 	ttl      time.Duration
@@ -59,7 +59,7 @@ type Coordinator struct {
 	done    bool
 	workers map[string]*workerState
 	// wake is closed and replaced (wakeLocked) on every transition that
-	// can change the answer to a held request or to AwaitDrain: campaign
+	// can change the answer to a held request or to awaitDrain: campaign
 	// published, finished or aborted, a unit back on the queue, Finish, a
 	// worker told Done. A waiter reads the state and this channel under
 	// one acquisition of mu, so no transition falls between the two.
@@ -106,7 +106,7 @@ type unit struct {
 
 // finishLocked terminates the campaign (err nil for success) exactly
 // once. Callers hold the coordinator mutex.
-func (c *Coordinator) finishLocked(st *campaignState, err error) {
+func (c *coordinator) finishLocked(st *campaignState, err error) {
 	if st.finished {
 		return
 	}
@@ -116,9 +116,9 @@ func (c *Coordinator) finishLocked(st *campaignState, err error) {
 	c.wakeLocked()
 }
 
-// wakeLocked releases every held request and AwaitDrain to look at the
+// wakeLocked releases every held request and awaitDrain to look at the
 // state again. Callers hold the coordinator mutex.
-func (c *Coordinator) wakeLocked() {
+func (c *coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
 }
@@ -126,8 +126,8 @@ func (c *Coordinator) wakeLocked() {
 // NewCoordinator builds a coordinator persisting through journal (which
 // must be non-nil: the journal is both the shipped-record store and the
 // coordinator's own resume state).
-func NewCoordinator(journal *resilience.Journal, o Options) *Coordinator {
-	c := &Coordinator{
+func NewCoordinator(journal *resilience.Journal, o Options) *coordinator {
+	c := &coordinator{
 		journal:  journal,
 		hub:      o.Hub,
 		ttl:      o.LeaseTTL,
@@ -163,7 +163,7 @@ func autoUnitSize(n int) int {
 // error; whatever shipped is already in the journal, so the caller can
 // render a partial table and resume later). Campaigns are coordinated
 // one at a time, in sequence.
-func (c *Coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) error {
+func (c *coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) error {
 	digest, err := m.Digest()
 	if err != nil {
 		return err
@@ -242,19 +242,19 @@ func (c *Coordinator) Coordinate(ctx context.Context, m inject.PlanManifest) err
 
 // Finish marks the whole invocation done: campaign polls and leases,
 // held ones included, now answer Done so workers exit cleanly.
-func (c *Coordinator) Finish() {
+func (c *coordinator) Finish() {
 	c.mu.Lock()
 	c.done = true
 	c.wakeLocked()
 	c.mu.Unlock()
 }
 
-// AwaitDrain waits (up to timeout) until every worker seen recently, or
+// awaitDrain waits (up to timeout) until every worker seen recently, or
 // holding a request right now, has been given the Done answer at least
 // once, so the coordinator process can exit without stranding workers in
 // their retry loops. Workers that died silently simply age out of the
 // wait.
-func (c *Coordinator) AwaitDrain(timeout time.Duration) {
+func (c *coordinator) awaitDrain(timeout time.Duration) {
 	expired := time.NewTimer(timeout)
 	defer expired.Stop()
 	for {
@@ -288,7 +288,7 @@ func (c *Coordinator) AwaitDrain(timeout time.Duration) {
 // answer computed is the one sent: after the cap that is the idle answer
 // a coordinator that never held would give. A client that goes away
 // ends the hold without another call — nothing is leased to it.
-func (c *Coordinator) await(ctx context.Context, worker string, answer func(ws *workerState) (idle bool)) {
+func (c *coordinator) await(ctx context.Context, worker string, answer func(ws *workerState) (idle bool)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	deadline := c.now().Add(c.hold)
@@ -324,7 +324,7 @@ func (c *Coordinator) await(ctx context.Context, worker string, answer func(ws *
 
 // nextExpiryLocked returns the earliest expiry among the current
 // campaign's outstanding leases.
-func (c *Coordinator) nextExpiryLocked() (time.Time, bool) {
+func (c *coordinator) nextExpiryLocked() (time.Time, bool) {
 	var next time.Time
 	st := c.cur
 	if st == nil || st.finished {
@@ -340,7 +340,7 @@ func (c *Coordinator) nextExpiryLocked() (time.Time, bool) {
 
 // Handler returns the coordinator's HTTP surface: the four /fabric/
 // protocol endpoints, the /fabric/status snapshot, and a /healthz probe.
-func (c *Coordinator) Handler() http.Handler {
+func (c *coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fabric/campaign", c.handleCampaign)
 	mux.HandleFunc("/fabric/lease", c.handleLease)
@@ -353,14 +353,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// StatusHandler returns just the /fabric/status endpoint, for mounting
-// on an existing observability plane (the -serve server).
-func (c *Coordinator) StatusHandler() http.Handler {
-	return http.HandlerFunc(c.handleStatus)
-}
-
 // touchLocked records that a worker spoke to us.
-func (c *Coordinator) touchLocked(name string) *workerState {
+func (c *coordinator) touchLocked(name string) *workerState {
 	if name == "" {
 		return nil
 	}
@@ -379,7 +373,7 @@ func (c *Coordinator) touchLocked(name string) *workerState {
 // (await wakes it at the earliest expiry), so liveness needs no
 // background timer: a worker asking for work is exactly the moment a
 // stolen unit has somewhere to go.
-func (c *Coordinator) expireLocked() {
+func (c *coordinator) expireLocked() {
 	st := c.cur
 	if st == nil || st.finished {
 		return
@@ -402,7 +396,7 @@ func (c *Coordinator) expireLocked() {
 	}
 }
 
-func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
+func (c *coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
@@ -424,15 +418,15 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 // toldDoneLocked records that a worker has been given the Done answer,
-// which is what AwaitDrain waits for.
-func (c *Coordinator) toldDoneLocked(ws *workerState) {
+// which is what awaitDrain waits for.
+func (c *coordinator) toldDoneLocked(ws *workerState) {
 	if ws != nil && !ws.toldDone {
 		ws.toldDone = true
 		c.wakeLocked()
 	}
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+func (c *coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -474,7 +468,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+func (c *coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -497,7 +491,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, HeartbeatResponse{OK: ok})
 }
 
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+func (c *coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -600,7 +594,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (c *coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
@@ -614,7 +608,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // Status snapshots the coordinator's live state (the /fabric/status
 // payload).
-func (c *Coordinator) Status() Status {
+func (c *coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked()
@@ -665,7 +659,7 @@ func (c *Coordinator) Status() Status {
 	return s
 }
 
-func (c *Coordinator) registerMetrics() {
+func (c *coordinator) registerMetrics() {
 	if c.hub == nil || c.hub.Reg == nil {
 		return
 	}

@@ -75,7 +75,7 @@ func record(index int, class, writer string) resilience.Record {
 // the held-request tests use newHoldingHarness.
 type harness struct {
 	t        *testing.T
-	c        *Coordinator
+	c        *coordinator
 	j        *resilience.Journal
 	clock    *fakeClock
 	srv      *httptest.Server
@@ -473,9 +473,9 @@ func TestCoordinatorFinishAndDrain(t *testing.T) {
 	// Every worker that spoke to us has now heard Done, so the drain
 	// returns well before its timeout.
 	start := time.Now()
-	h.c.AwaitDrain(5 * time.Second)
+	h.c.awaitDrain(5 * time.Second)
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("AwaitDrain took %v with a drained fleet", elapsed)
+		t.Errorf("awaitDrain took %v with a drained fleet", elapsed)
 	}
 	h.cancel()
 }
@@ -702,19 +702,19 @@ func TestHeldCampaignPublishFinishAndDrain(t *testing.T) {
 	go func() {
 		// The probe worker of coordinate() never hears Done and was last
 		// seen 10 (fake) seconds ago: aged out. w1 is held: waited for.
-		h.c.AwaitDrain(5 * time.Second)
+		h.c.awaitDrain(5 * time.Second)
 		close(drained)
 	}()
 	select {
 	case <-drained:
-		t.Fatal("AwaitDrain returned with a worker still on hold and Finish not called")
+		t.Fatal("awaitDrain returned with a worker still on hold and Finish not called")
 	case <-time.After(50 * time.Millisecond):
 	}
 	h.c.Finish()
 	if camp := receive(t, "campaign poll at Finish", parked); !camp.Done {
 		t.Fatalf("held campaign poll answered %+v at Finish, want done", camp)
 	}
-	receive(t, "AwaitDrain after the held worker heard Done", drained)
+	receive(t, "awaitDrain after the held worker heard Done", drained)
 }
 
 func TestHeldRequestReleasedWhenClientCancels(t *testing.T) {

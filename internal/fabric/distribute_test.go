@@ -1,0 +1,176 @@
+package fabric
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/letgo-hpc/letgo/internal/apps"
+	"github.com/letgo-hpc/letgo/internal/inject"
+	"github.com/letgo-hpc/letgo/internal/obs"
+	"github.com/letgo-hpc/letgo/internal/report"
+	"github.com/letgo-hpc/letgo/internal/resilience"
+)
+
+// distributionCampaigns is CLAMR and HPL × LetGo-B/E at N = 40, fresh
+// for every session.
+func distributionCampaigns(t *testing.T) []*inject.Campaign {
+	t.Helper()
+	var cs []*inject.Campaign
+	for _, name := range []string{"CLAMR", "HPL"} {
+		app, ok := apps.ByName(name)
+		if !ok {
+			t.Fatalf("no app %s", name)
+		}
+		for _, mode := range []inject.Mode{inject.LetGoB, inject.LetGoE} {
+			cs = append(cs, &inject.Campaign{App: app, Mode: mode, N: 40, Seed: 4321, Workers: 2})
+		}
+	}
+	return cs
+}
+
+// runSession runs every campaign through s and renders one text table.
+func runSession(t *testing.T, ctx context.Context, s *Session) string {
+	t.Helper()
+	var rows []report.CampaignRow
+	for _, c := range distributionCampaigns(t) {
+		r, err := s.Run(ctx, c)
+		if err != nil {
+			t.Fatalf("%s/%v: %v", c.App.Name, c.Mode, err)
+		}
+		rows = append(rows, report.Row(r))
+	}
+	var buf bytes.Buffer
+	if err := report.Campaigns(&buf, report.Text, rows); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestDistributionsRenderOneTable runs the same campaigns through every
+// setting, shaped like bench's workloads — local; three Shard i/3 sessions
+// into their own journals, then a Merge over the three; a Coordinate
+// session with two in-process Workers — and requires one table.
+func TestDistributionsRenderOneTable(t *testing.T) {
+	ctx := context.Background()
+	local, err := Distribution{}.Open(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runSession(t, ctx, local)
+	local.Close()
+
+	dir := t.TempDir()
+	var paths []string
+	for i := 1; i <= 3; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
+		paths = append(paths, path)
+		j, err := resilience.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := Distribution{Shard: inject.ShardSpec{Index: i, Count: 3}}.Open(j, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSession(t, ctx, shard)
+		shard.Close()
+	}
+	merge, err := Distribution{Merge: paths}.Open(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runSession(t, ctx, merge); got != want {
+		t.Errorf("merged table diverges from local:\n%s\nvs\n%s", got, want)
+	}
+	journals, writers := merge.Merged()
+	if journals != 3 || !reflect.DeepEqual(writers, []string{"1/3", "2/3", "3/3"}) {
+		t.Errorf("merge provenance = %d journals, writers %v; want 3 and [1/3 2/3 3/3]", journals, writers)
+	}
+	merge.Close()
+
+	fleet, err := Distribution{Coordinate: "127.0.0.1:0", Options: Options{UnitSize: 10}}.Open(resilience.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 4*time.Minute)
+	defer cancel()
+	workerErrs := make(chan error, 2)
+	for w := 1; w <= 2; w++ {
+		wk := &Worker{Base: "http://" + fleet.Addr(), Name: fmt.Sprintf("w%d", w), Workers: 1}
+		go func() { workerErrs <- wk.Run(wctx) }()
+	}
+	if got := runSession(t, wctx, fleet); got != want {
+		t.Errorf("coordinated table diverges from local:\n%s\nvs\n%s", got, want)
+	}
+	fleet.Close()
+	for w := 0; w < 2; w++ {
+		if err := <-workerErrs; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+}
+
+// TestDistributionOpenRefusals pins what Open refuses: a shard or fleet
+// without a journal, a merge given one, and shard journals that disagree
+// about an injection — the last after reporting the merge's shape.
+func TestDistributionOpenRefusals(t *testing.T) {
+	dir := t.TempDir()
+	key := resilience.Key{App: "CLAMR", Mode: "letgo-e", N: 4, Seed: 11, Model: "bitflip"}
+	var paths []string
+	for i, class := range []string{"Benign", "SDC"} {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i+1))
+		paths = append(paths, path)
+		j, err := resilience.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Writer = fmt.Sprintf("%d/2", i+1)
+		if err := j.Append(resilience.Record{Key: key, Index: 1, Class: class}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		d       Distribution
+		journal *resilience.Journal
+		wantErr string
+	}{
+		{"shard without journal", Distribution{Shard: inject.ShardSpec{Index: 1, Count: 3}}, nil, "-shard requires -journal"},
+		{"fleet without journal", Distribution{Coordinate: "127.0.0.1:0"}, nil, "-coordinate requires -journal"},
+		{"merge given a journal", Distribution{Merge: paths}, resilience.New(), "takes no -journal"},
+	} {
+		if _, err := tc.d.Open(tc.journal, nil); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Open = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+
+	hub := &obs.Hub{Reg: obs.NewRegistry(), Status: obs.NewCampaignStatus()}
+	var collided []resilience.Collision
+	_, err := Distribution{Merge: paths, Options: Options{Hub: hub}}.Open(nil, func(c resilience.Collision) {
+		collided = append(collided, c)
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 conflicting shard record(s)") {
+		t.Fatalf("conflicting merge: Open = %v, want a refusal naming 1 conflicting record", err)
+	}
+	if len(collided) != 1 || collided[0].Identical {
+		t.Errorf("collisions reported = %+v, want one conflicting", collided)
+	}
+	if got := hub.Counter("letgo_merge_journals_total").Value(); got != 2 {
+		t.Errorf("letgo_merge_journals_total = %d, want 2", got)
+	}
+	if got := hub.Counter("letgo_merge_collisions_total", "kind", "conflicting").Value(); got != 1 {
+		t.Errorf("conflicting collisions counter = %d, want 1", got)
+	}
+	if st := hub.Status.Snapshot(); st.MergeJournals != 2 || st.MergeConflictingCollision != 1 {
+		t.Errorf("/status merge fields = %d journals, %d conflicting; want 2 and 1", st.MergeJournals, st.MergeConflictingCollision)
+	}
+}

@@ -125,34 +125,41 @@ func TestCoordinatedKillAndStealEquivalence(t *testing.T) {
 				}
 				refNorm, refTable := normalizeResult(refRes), renderTable(t, refRes)
 
-				plan, err := campaign().PlanContext(context.Background())
+				// The coordinator is the Coordinate setting; the fleet
+				// below is hand-built.
+				journal := resilience.New()
+				fleet, err := Distribution{Coordinate: "127.0.0.1:0",
+					Options: Options{LeaseTTL: ttl, UnitSize: 3}}.Open(journal, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				journal := resilience.New()
-				cdr := NewCoordinator(journal, Options{LeaseTTL: ttl, UnitSize: 3})
-				srv := httptest.NewServer(cdr.Handler())
-				defer srv.Close()
+				defer fleet.Close()
+				base := "http://" + fleet.Addr()
 
 				ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 				defer cancel()
-				coordDone := make(chan error, 1)
-				go func() { coordDone <- cdr.Coordinate(ctx, plan.Manifest()) }()
+				var mergedRes *inject.Result
+				runDone := make(chan error, 1)
+				go func() {
+					var err error
+					mergedRes, err = fleet.Run(ctx, campaign())
+					runDone <- err
+				}()
 
 				// The crashed worker leases first, so exactly that unit
 				// must expire and be stolen for the campaign to finish.
-				leaseAndVanish(t, srv.URL)
+				leaseAndVanish(t, base)
 
 				// The fleet: two healthy workers on different engines,
 				// plus a straggler that never heartbeats and ships its
 				// unit only after the lease is long expired.
 				var once sync.Once
 				workers := []*Worker{
-					{Base: srv.URL, Name: "healthy-fork", Engine: inject.EngineFork,
+					{Base: base, Name: "healthy-fork", Engine: inject.EngineFork,
 						Workers: 2, PollInterval: 25 * time.Millisecond},
-					{Base: srv.URL, Name: "healthy-rerun", Engine: inject.EngineRerun,
+					{Base: base, Name: "healthy-rerun", Engine: inject.EngineRerun,
 						Workers: 2, PollInterval: 25 * time.Millisecond},
-					{Base: srv.URL, Name: "straggler", Engine: inject.EngineFork,
+					{Base: base, Name: "straggler", Engine: inject.EngineFork,
 						Workers: 2, PollInterval: 25 * time.Millisecond,
 						HeartbeatEvery: time.Hour,
 						sleepBeforeShip: func(int) {
@@ -165,25 +172,21 @@ func TestCoordinatedKillAndStealEquivalence(t *testing.T) {
 					go func() { workerErrs <- w.Run(ctx) }()
 				}
 
-				if err := <-coordDone; err != nil {
-					t.Fatalf("Coordinate: %v", err)
+				if err := <-runDone; err != nil {
+					t.Fatalf("Run: %v", err)
 				}
-				cdr.Finish()
+				fleet.coord.Finish()
 				for range workers {
 					if err := <-workerErrs; err != nil {
 						t.Errorf("worker: %v", err)
 					}
 				}
 
-				st := cdr.Status()
+				st := fleet.coord.Status()
 				if st.LeasesExpired < 1 {
 					t.Errorf("LeasesExpired = %d, want >= 1 (the crashed worker's unit)", st.LeasesExpired)
 				}
 
-				mergedRes, err := campaign().MergeContext(context.Background(), journal)
-				if err != nil {
-					t.Fatalf("MergeContext: %v", err)
-				}
 				if got := normalizeResult(mergedRes); !reflect.DeepEqual(got, refNorm) {
 					t.Errorf("coordinated result diverges from single-process:\n%+v\nvs\n%+v", got, refNorm)
 				}

@@ -1,38 +1,22 @@
-// Package fabric is the networked layer of the campaign pipeline
-// (docs/FABRIC.md): a coordinator that serves a PlanManifest-derived
-// work queue over HTTP, and a worker client that executes leased units
-// against the inject Execute stage and ships the resulting journal
-// records back.
+// Package fabric spreads a campaign's injections over processes without
+// changing a number in its table (docs/FABRIC.md).
 //
-// PR 8's sharding is static — shard i/n is fixed at launch, and a dead
-// or slow process stalls the merge forever. The fabric replaces that
-// with dynamic dispatch built for failure:
+// Distribution is the one entry point. Its zero value runs a campaign
+// whole in this process; Shard runs work unit i/n into a journal; Merge
+// renders from shard journals and executes nothing; Coordinate serves
+// the campaign over HTTP as a queue of leased work units to remote
+// Workers, which execute them and ship the classified records back.
+// Open readies a distribution once per invocation, Session.Run runs its
+// campaigns one at a time, and Close ends it.
 //
-//   - Work units are *leased* with a TTL, not assigned. A worker renews
-//     its lease by heartbeat; a lease that expires (crashed or stalled
-//     worker) goes back on the queue and is re-dispatched to whoever
-//     asks next or is already waiting — work stealing from stragglers.
-//   - Nobody polls on a timer: a campaign or lease request the
-//     coordinator cannot answer yet is held until it can (docs/FABRIC.md
-//     "Held requests").
-//   - Completed units ship their journal records to the coordinator over
-//     HTTP, so no shared filesystem is needed. The coordinator persists
-//     them through the crash-safe resilience journal, which doubles as
-//     its own resume state: a killed coordinator reopens the journal and
-//     re-dispatches only the uncovered units.
-//   - Determinism does the heavy lifting on duplicates: a stolen unit
-//     completed by both the straggler and the thief produces
-//     payload-identical records (resilience.SamePayload), which merge
-//     benignly; any disagreement is a configuration bug and aborts the
-//     campaign rather than letting the last record win.
-//   - Workers never trust the network: every call retries with
-//     exponential backoff plus jitter, and a worker only executes a plan
-//     whose locally derived manifest digest matches the coordinator's.
+// The fleet is built for failure (docs/FABRIC.md): an expired lease is
+// stolen, a request with no answer yet is held rather than polled, the
+// resilience journal is the coordinator's resume state, and writers that
+// disagree about an injection abort the campaign.
 //
-// The protocol is deliberately small — four POST/GET JSON endpoints under
-// /fabric/ — and carries no plan data: both sides derive the full plan
-// from the campaign key (the Plan stage is a pure function of it), so
-// the wire only moves indices and classified records.
+// The protocol is four JSON endpoints under /fabric/ and carries no plan
+// data: both sides derive the plan from the campaign key, so the wire
+// moves only indices and classified records.
 package fabric
 
 import (

@@ -40,9 +40,6 @@ type Worker struct {
 	// metrics.
 	Hub *obs.Hub
 
-	// Client overrides the HTTP client (nil uses one with a 30s timeout,
-	// built once per Run).
-	Client *http.Client
 	// PollInterval is the floor spacing between idle campaign/lease
 	// requests (0 selects DefaultPollInterval). The coordinator holds a
 	// request it cannot answer yet, so an idle answer (no campaign
@@ -55,9 +52,6 @@ type Worker struct {
 	// LeaseTTL/3 from the campaign spec). Tests set it absurdly large to
 	// simulate a straggler that stops renewing.
 	HeartbeatEvery time.Duration
-	// Backoff shapes retry delays for coordinator calls (zero value =
-	// defaults).
-	Backoff Backoff
 
 	// sleepBeforeShip, when non-nil, runs after a unit's execution and
 	// before its records ship — the hook tests use to fake a straggler
@@ -68,9 +62,10 @@ type Worker struct {
 	httpc *http.Client
 }
 
-// clientTimeout is the default client's whole-request timeout. It must
-// stay above the coordinator's holdCap: a held request is answered at
-// the cap at the latest, and has to still be listening then.
+// clientTimeout is the whole-request timeout of the client each Run
+// builds. It must stay above the coordinator's holdCap: a held request
+// is answered at the cap at the latest, and has to still be listening
+// then.
 const clientTimeout = 30 * time.Second
 
 // maxAttempts bounds consecutive failures per coordinator call before the
@@ -92,10 +87,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("fabric: worker needs a coordinator URL and a name")
 	}
 	w.registerMetrics()
-	w.httpc = w.Client
-	if w.httpc == nil {
-		w.httpc = &http.Client{Timeout: clientTimeout}
-	}
+	w.httpc = &http.Client{Timeout: clientTimeout}
 	for {
 		var camp CampaignResponse
 		asked := time.Now()
@@ -315,7 +307,7 @@ func (w *Worker) call(ctx context.Context, method, path string, in, out any, att
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			w.Hub.Counter("letgo_fabric_retries_total").Inc()
-			if !sleep(ctx, w.Backoff.Delay(a-1)) {
+			if !sleep(ctx, backoff(a-1)) {
 				return ctx.Err()
 			}
 		}

@@ -86,7 +86,7 @@ type CampaignRow struct {
 	// Shard provenance (JSON only; the text/markdown/CSV cells are
 	// deliberately unchanged so a merged table stays byte-identical to a
 	// single-process one). Shard names the work unit a partial shard row
-	// covers; MergedJournals/MergedWriters are stamped by AnnotateMerge
+	// covers; MergedJournals/MergedWriters are a merge's provenance, set
 	// on rows produced by merging shard journals.
 	Shard          string   `json:"shard,omitempty"`
 	MergedJournals int      `json:"merged_journals,omitempty"`
@@ -130,18 +130,6 @@ func Row(r *inject.Result) CampaignRow {
 		AnalysisLiveRegions:    r.AnalysisLiveRegions,
 
 		Shard: r.Shard,
-	}
-}
-
-// AnnotateMerge stamps merge provenance onto campaign rows rendered from
-// merged shard journals: how many journal files fed the merge and the
-// distinct writer identities among their records. Only the JSON
-// rendering carries the annotation — the table cells stay byte-identical
-// to a single-process run's, which is the merge contract.
-func AnnotateMerge(rows []CampaignRow, journals int, writers []string) {
-	for i := range rows {
-		rows[i].MergedJournals = journals
-		rows[i].MergedWriters = writers
 	}
 }
 

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 )
 
@@ -122,20 +121,6 @@ func MergeFiles(paths []string) (*Journal, []Collision, error) {
 		return collisions[a].Index < collisions[b].Index
 	})
 	return merged, collisions, nil
-}
-
-// MergeGlob merges every journal matching the pattern (see MergeFiles).
-// A pattern matching no files is an error: merging nothing is always a
-// misconfiguration, and silently rendering an empty table would hide it.
-func MergeGlob(pattern string) (*Journal, []Collision, error) {
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, nil, fmt.Errorf("resilience: bad merge glob %q: %w", pattern, err)
-	}
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("resilience: merge glob %q matches no journals", pattern)
-	}
-	return MergeFiles(paths)
 }
 
 func containsString(ss []string, s string) bool {

@@ -177,25 +177,6 @@ func TestMergedJournalIsReadSide(t *testing.T) {
 	}
 }
 
-func TestMergeGlob(t *testing.T) {
-	k := mergeKey()
-	dir := t.TempDir()
-	writeJournal(t, filepath.Join(dir, "shard-1.jsonl"),
-		Record{Key: k, Writer: "1/2", Index: 0, Class: "Benign"})
-	writeJournal(t, filepath.Join(dir, "shard-2.jsonl"),
-		Record{Key: k, Writer: "2/2", Index: 1, Class: "SDC"})
-	merged, _, err := MergeGlob(filepath.Join(dir, "shard-*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Len() != 2 {
-		t.Fatalf("glob merged %d records, want 2", merged.Len())
-	}
-	if _, _, err := MergeGlob(filepath.Join(dir, "nope-*.jsonl")); err == nil {
-		t.Fatal("glob matching nothing did not error")
-	}
-}
-
 func TestWriterStamping(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
