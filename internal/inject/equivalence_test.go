@@ -77,6 +77,12 @@ func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 					case g.engine == inject.EngineFork && mode == inject.LetGoE && conv == 0:
 						t.Errorf("engine=fork workers=%d: no run of %d converged with the golden run", g.workers, n)
 					}
+					// A repair-safe site is certified unable to reach the
+					// acceptance check, so no run injected there may end
+					// in an SDC.
+					if f := inject.SDCFrac(&r.SafeSite); f != 0 {
+						t.Errorf("engine=%v workers=%d: SDC fraction %v at repair-safe sites, want 0", g.engine, g.workers, f)
+					}
 					got := normalize(r)
 					table := renderTable(t, r)
 					if gi == 0 {
