@@ -68,9 +68,6 @@ func TestCFGStructure(t *testing.T) {
 	if !ok || f.Sym.Name != "main" {
 		t.Fatalf("FuncAt(main) = %v, %v", f, ok)
 	}
-	if len(f.Calls) != 1 {
-		t.Errorf("main calls = %v, want one (work)", f.Calls)
-	}
 	// The loop back-edge must exist: some block in main has a successor
 	// at or before its own start (the whole loop body is one block, so
 	// the back-edge is a self-loop).

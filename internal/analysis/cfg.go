@@ -38,9 +38,8 @@ type Block struct {
 	Index int
 	// Start and End delimit the block's code addresses; End is exclusive.
 	Start, End uint64
-	// Succs and Preds are intra-function CFG edges (block indices).
-	// Call edges are recorded on Func.Calls, not here: a CALL is modeled
-	// as falling through to its return point.
+	// Succs and Preds are intra-function CFG edges (block indices). A
+	// CALL is modeled as falling through to its return point.
 	Succs, Preds []int
 	// Func is the index of the containing Func.
 	Func int
@@ -52,6 +51,10 @@ type Block struct {
 	// outside its function (a tail-call idiom in hand-written assembly).
 	// Analyses treat it as an exit with fully conservative state.
 	Escapes bool
+
+	// first and last are the indices of the block's first and last
+	// instructions.
+	first, last int
 }
 
 // Func is one analyzed function: a symbol-table function, or a synthetic
@@ -65,8 +68,6 @@ type Func struct {
 	// Blocks lists the function's block indices in address order; the
 	// first is the function entry block.
 	Blocks []int
-	// Calls lists the CALL target addresses appearing in the function.
-	Calls []uint64
 }
 
 // Anonymous reports whether f is a synthetic region rather than a
@@ -96,8 +97,8 @@ type Analysis struct {
 
 	// depthIn[i] is the stack-depth state on entry to instruction i.
 	depthIn []depthState
-	// liveIn[i] / liveOut[i] are the registers live on entry to / exit
-	// from instruction i.
+	// liveIn[b] is the register set live on entry to block b; liveOut[i]
+	// the set live on exit from instruction i.
 	liveIn, liveOut []RegSet
 
 	// regions is the regions pass's fact; deps the deps pass's.
@@ -238,7 +239,7 @@ func (a *Analysis) buildBlocks() {
 		for j < n && !leader[j] {
 			j++
 		}
-		b := &Block{Index: len(a.Blocks), Start: a.addr(i), End: a.addr(j), Func: a.funcOf[i]}
+		b := &Block{Index: len(a.Blocks), Start: a.addr(i), End: a.addr(j), Func: a.funcOf[i], first: i, last: j - 1}
 		a.Blocks = append(a.Blocks, b)
 		f := a.Funcs[b.Func]
 		f.Blocks = append(f.Blocks, b.Index)
@@ -264,12 +265,7 @@ func (a *Analysis) buildBlocks() {
 	}
 
 	for _, b := range a.Blocks {
-		lastIdx, _ := a.index(b.End - isa.InstrBytes)
-		last := a.Prog.Instrs[lastIdx]
-		if last.Op == isa.CALL {
-			f := a.Funcs[b.Func]
-			f.Calls = append(f.Calls, uint64(last.Imm))
-		}
+		last := a.Prog.Instrs[b.last]
 		switch last.Op {
 		case isa.HALT, isa.ABORT, isa.RET:
 			// No successors.
@@ -282,23 +278,13 @@ func (a *Analysis) buildBlocks() {
 			a.fallthroughEdge(b)
 		}
 	}
-	// Collect non-terminal CALLs too (calls in the middle of a block).
-	for _, f := range a.Funcs {
-		f.Calls = f.Calls[:0]
-	}
-	for i, in := range a.Prog.Instrs {
-		if in.Op == isa.CALL {
-			f := a.Funcs[a.funcOf[i]]
-			f.Calls = append(f.Calls, uint64(in.Imm))
-		}
-	}
 }
 
 // fallthroughEdge connects b to the block at b.End, or marks b as falling
 // off its function when no same-function block follows.
 func (a *Analysis) fallthroughEdge(b *Block) {
-	i, ok := a.index(b.End)
-	if !ok || a.funcOf[i] != b.Func {
+	i := b.last + 1
+	if i == len(a.funcOf) || a.funcOf[i] != b.Func {
 		b.FallsOff = true
 		return
 	}
@@ -307,32 +293,25 @@ func (a *Analysis) fallthroughEdge(b *Block) {
 	to.Preds = append(to.Preds, b.Index)
 }
 
-// markReachable flood-fills each function's CFG from its entry block (plus
-// the program entry, which may sit mid-function in hand-written programs).
+// markReachable flood-fills each function's CFG from its entries.
 func (a *Analysis) markReachable() {
 	a.reach = make([]bool, len(a.Blocks))
-	var stack []int
-	push := func(bi int) {
-		if bi >= 0 && !a.reach[bi] {
-			a.reach[bi] = true
-			stack = append(stack, bi)
-		}
-	}
+	var roots []int
 	for _, f := range a.Funcs {
-		if len(f.Blocks) > 0 {
-			push(f.Blocks[0])
-		}
+		roots = append(roots, a.entries(f)...)
 	}
-	if i, ok := a.index(a.Prog.Entry); ok {
-		push(a.blockOf[i])
+	for _, bi := range roots {
+		a.reach[bi] = true
 	}
-	for len(stack) > 0 {
-		bi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	a.solve(roots, func(bi int) (marked []int) {
 		for _, s := range a.Blocks[bi].Succs {
-			push(s)
+			if !a.reach[s] {
+				a.reach[s] = true
+				marked = append(marked, s)
+			}
 		}
-	}
+		return marked
+	})
 }
 
 // String renders a compact CFG listing for debugging and letgo-vet -cfg.

@@ -159,10 +159,7 @@ func (a *Analysis) computeDeps() {
 // depFunc runs one function's forward block fixpoint under the current
 // interprocedural state.
 func (a *Analysis) depFunc(s *depState, f *Func) {
-	if len(f.Blocks) == 0 {
-		return
-	}
-	seedEntry := func(bi int) {
+	for _, bi := range a.entries(f) {
 		if s.blockIn[bi] == nil {
 			s.blockIn[bi] = a.newTaintState()
 		}
@@ -174,33 +171,16 @@ func (a *Analysis) depFunc(s *depState, f *Func) {
 			st[fslot(r)] = tunion(st[fslot(r)], s.entry[f.Index][fslot(r)])
 		}
 	}
-	seedEntry(f.Blocks[0])
-	if ei, ok := a.index(a.Prog.Entry); ok && a.funcOf[ei] == f.Index {
-		if bi := a.blockOf[ei]; bi != f.Blocks[0] {
-			seedEntry(bi)
-		}
-	}
 	// Seed every block: transfer outputs depend on the global memory-flow
 	// state, not just block-in register state, so each round must revisit
 	// every block under the current global facts.
-	work := make([]int, len(f.Blocks))
-	copy(work, f.Blocks)
-	inWork := map[int]bool{}
-	for _, bi := range work {
-		inWork[bi] = true
-	}
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[bi] = false
+	a.solve(f.Blocks, func(bi int) (changed []int) {
 		b := a.Blocks[bi]
 		if s.blockIn[bi] == nil {
 			s.blockIn[bi] = a.newTaintState()
 		}
 		st := append(taintState(nil), s.blockIn[bi]...)
-		first, _ := a.index(b.Start)
-		last, _ := a.index(b.End - isa.InstrBytes)
-		for i := first; i <= last; i++ {
+		for i := b.first; i <= b.last; i++ {
 			a.depStep(s, f, i, st)
 		}
 		if b.FallsOff || b.Escapes {
@@ -223,12 +203,12 @@ func (a *Analysis) depFunc(s *depState, f *Func) {
 			if s.blockIn[si] == nil {
 				s.blockIn[si] = a.newTaintState()
 			}
-			if st.joinInto(s.blockIn[si]) && !inWork[si] {
-				inWork[si] = true
-				work = append(work, si)
+			if st.joinInto(s.blockIn[si]) {
+				changed = append(changed, si)
 			}
 		}
-	}
+		return changed
+	})
 }
 
 // depStep is the taint transfer function for one instruction.

@@ -151,9 +151,8 @@ func useDef(in isa.Instruction) (use, def RegSet) {
 
 // computeLiveness runs the backward liveness fixpoint per function.
 func (a *Analysis) computeLiveness() {
-	n := len(a.Prog.Instrs)
-	a.liveIn = make([]RegSet, n)
-	a.liveOut = make([]RegSet, n)
+	a.liveIn = make([]RegSet, len(a.Blocks))
+	a.liveOut = make([]RegSet, len(a.Prog.Instrs))
 
 	// exitLive is the live-out of a block with no intra-function
 	// successors. RET's own use set (x0/f0/sp/bp) already encodes the
@@ -169,44 +168,24 @@ func (a *Analysis) computeLiveness() {
 	}
 
 	for _, f := range a.Funcs {
-		// Backward fixpoint over the function's blocks. Seed every block
-		// on the worklist: exit blocks establish the boundary condition.
-		work := make([]int, len(f.Blocks))
-		copy(work, f.Blocks)
-		inWork := make(map[int]bool, len(f.Blocks))
-		for _, bi := range f.Blocks {
-			inWork[bi] = true
-		}
-		for len(work) > 0 {
-			bi := work[len(work)-1]
-			work = work[:len(work)-1]
-			inWork[bi] = false
+		// Seed every block: exit blocks establish the boundary condition.
+		a.solve(f.Blocks, func(bi int) []int {
 			b := a.Blocks[bi]
-
-			out := exitLive(b)
+			live := exitLive(b)
 			for _, si := range b.Succs {
-				first, _ := a.index(a.Blocks[si].Start)
-				out = out.union(a.liveIn[first])
+				live = live.union(a.liveIn[si])
 			}
-
-			first, _ := a.index(b.Start)
-			last, _ := a.index(b.End - isa.InstrBytes)
-			live := out
-			for i := last; i >= first; i-- {
+			for i := b.last; i >= b.first; i-- {
 				a.liveOut[i] = live
 				use, def := useDef(a.Prog.Instrs[i])
 				live = live.minus(def).union(use)
 			}
-			if live != a.liveIn[first] {
-				a.liveIn[first] = live
-				for _, pi := range b.Preds {
-					if !inWork[pi] {
-						inWork[pi] = true
-						work = append(work, pi)
-					}
-				}
+			if live == a.liveIn[bi] {
+				return nil
 			}
-		}
+			a.liveIn[bi] = live
+			return b.Preds
+		})
 	}
 }
 

@@ -302,9 +302,7 @@ func (a *Analysis) frameSize(f *Func) uint64 {
 	var max int64
 	for _, bi := range f.Blocks {
 		b := a.Blocks[bi]
-		first, _ := a.index(b.Start)
-		last, _ := a.index(b.End - isa.InstrBytes)
-		for i := first; i <= last; i++ {
+		for i := b.first; i <= b.last; i++ {
 			st := a.depthIn[i]
 			if !st.reached {
 				continue
@@ -482,36 +480,26 @@ func (a *Analysis) computeEffects() {
 		return true
 	}
 
+	visit := func(bi int) (changed []int) {
+		b := a.Blocks[bi]
+		st := append([]av(nil), blockIn[bi]...)
+		for i := b.first; i <= b.last; i++ {
+			a.recordEffect(i, st)
+			a.avStep(st, a.Prog.Instrs[i])
+		}
+		for _, si := range b.Succs {
+			if joinInto(si, st) {
+				changed = append(changed, si)
+			}
+		}
+		return changed
+	}
 	for _, f := range a.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
+		seeds := a.entries(f)
+		for _, bi := range seeds {
+			blockIn[bi] = topState()
 		}
-		blockIn[f.Blocks[0]] = topState()
-		work := []int{f.Blocks[0]}
-		if ei, ok := a.index(a.Prog.Entry); ok && a.funcOf[ei] == f.Index {
-			bi := a.blockOf[ei]
-			if bi != f.Blocks[0] {
-				blockIn[bi] = topState()
-				work = append(work, bi)
-			}
-		}
-		for len(work) > 0 {
-			bi := work[len(work)-1]
-			work = work[:len(work)-1]
-			b := a.Blocks[bi]
-			st := append([]av(nil), blockIn[bi]...)
-			first, _ := a.index(b.Start)
-			last, _ := a.index(b.End - isa.InstrBytes)
-			for i := first; i <= last; i++ {
-				a.recordEffect(i, st)
-				a.avStep(st, a.Prog.Instrs[i])
-			}
-			for _, si := range b.Succs {
-				if joinInto(si, st) {
-					work = append(work, si)
-				}
-			}
-		}
+		a.solve(seeds, visit)
 	}
 }
 

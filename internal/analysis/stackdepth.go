@@ -172,52 +172,38 @@ func (s depthState) regDepth(r isa.Reg) Interval {
 
 // computeDepths runs the forward stack-depth fixpoint over every function.
 func (a *Analysis) computeDepths() {
-	n := len(a.Prog.Instrs)
-	a.depthIn = make([]depthState, n)
+	a.depthIn = make([]depthState, len(a.Prog.Instrs))
 	blockIn := make([]depthState, len(a.Blocks))
 	joins := make([]int, len(a.Blocks))
-
+	visit := func(bi int) (changed []int) {
+		b := a.Blocks[bi]
+		st := blockIn[bi]
+		for i := b.first; i <= b.last; i++ {
+			a.depthIn[i] = st
+			st = depthStep(st, a.Prog.Instrs[i])
+		}
+		for _, si := range b.Succs {
+			joined := blockIn[si].join(st)
+			if joined.eq(blockIn[si]) {
+				continue
+			}
+			joins[si]++
+			if joins[si] > widenLimit {
+				// Widen: the interval keeps growing (unbalanced stack
+				// motion in a loop). Give up precisely.
+				joined = depthState{sp: top, bp: top, reached: true}
+			}
+			blockIn[si] = joined
+			changed = append(changed, si)
+		}
+		return changed
+	}
 	for _, f := range a.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
+		seeds := a.entries(f)
+		for _, bi := range seeds {
+			blockIn[bi] = entryDepth()
 		}
-		work := []int{f.Blocks[0]}
-		blockIn[f.Blocks[0]] = entryDepth()
-		// The program entry can sit mid-function in hand-written code;
-		// seed it like a function entry so its states are defined.
-		if ei, ok := a.index(a.Prog.Entry); ok && a.funcOf[ei] == f.Index {
-			bi := a.blockOf[ei]
-			if bi != f.Blocks[0] {
-				blockIn[bi] = blockIn[bi].join(entryDepth())
-				work = append(work, bi)
-			}
-		}
-		for len(work) > 0 {
-			bi := work[len(work)-1]
-			work = work[:len(work)-1]
-			b := a.Blocks[bi]
-			st := blockIn[bi]
-			first, _ := a.index(b.Start)
-			last, _ := a.index(b.End - isa.InstrBytes)
-			for i := first; i <= last; i++ {
-				a.depthIn[i] = st
-				st = depthStep(st, a.Prog.Instrs[i])
-			}
-			for _, si := range b.Succs {
-				joined := blockIn[si].join(st)
-				if joined.eq(blockIn[si]) {
-					continue
-				}
-				joins[si]++
-				if joins[si] > widenLimit {
-					// Widen: the interval keeps growing (unbalanced stack
-					// motion in a loop). Give up precisely.
-					joined = depthState{sp: top, bp: top, reached: true}
-				}
-				blockIn[si] = joined
-				work = append(work, si)
-			}
-		}
+		a.solve(seeds, visit)
 	}
 }
 

@@ -208,8 +208,7 @@ func (a *Analysis) vetReachability() []Finding {
 		}
 		if b.Escapes {
 			lastAddr := b.End - isa.InstrBytes
-			i, _ := a.index(lastAddr)
-			in := a.Prog.Instrs[i]
+			in := a.Prog.Instrs[b.last]
 			target := uint64(in.Imm)
 			if _, ok := a.index(target); !ok {
 				out = append(out, Finding{
@@ -354,13 +353,10 @@ func (a *Analysis) vetUninitReads() []Finding {
 		if f.Anonymous() || len(f.Blocks) == 0 {
 			continue
 		}
-		entry, ok := a.index(a.Blocks[f.Blocks[0]].Start)
-		if !ok {
-			continue
-		}
+		entry := f.Blocks[0]
 		if bad := a.liveIn[entry].minus(allowed); !bad.Empty() {
 			out = append(out, Finding{
-				Addr: a.addr(entry), Func: funcName(f), Check: CheckUninitRead,
+				Addr: a.Blocks[entry].Start, Func: funcName(f), Check: CheckUninitRead,
 				Msg: fmt.Sprintf("%s may be read before being written (not an argument register)", bad),
 			})
 		}
