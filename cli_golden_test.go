@@ -1,6 +1,7 @@
 package letgo
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -127,4 +128,128 @@ func TestCLIGolden(t *testing.T) {
 	if want := "CLAMR/LetGo-B CLAMR/LetGo-E HPL/LetGo-B HPL/LetGo-E"; strings.Join(modes, " ") != want {
 		t.Errorf("-compare -format json rows = %v, want %s", modes, want)
 	}
+
+	for _, tc := range telemetryCases {
+		checkTelemetry(t, dir, tc)
+	}
+}
+
+// telemetryCase is one pinned telemetry run: every step runs with
+// -events-json and -metrics-out, and results/cli/<name>.events.golden and
+// <name>.metrics.golden hold what they wrote, step after step, minus what
+// depends on the clock or the scheduler (see telemetryEvents and
+// telemetryMetrics). One injection worker keeps the event order fixed.
+type telemetryCase struct {
+	name  string
+	tool  string
+	steps []string
+}
+
+var telemetryCases = []telemetryCase{
+	{"telemetry-compare", "letgo-inject", []string{"-apps CLAMR,HPL -n 40 -workers 1 -compare"}},
+	{"telemetry-shard-merge", "letgo-inject", []string{
+		"-apps CLAMR,HPL -n 40 -workers 1 -shard 1/2 -journal $DIR/t1.jsonl",
+		"-apps CLAMR,HPL -n 40 -workers 1 -merge $DIR/t1.jsonl",
+	}},
+	{"telemetry-sim", "letgo-sim", []string{"-app LULESH -horizon 200000"}},
+}
+
+// checkTelemetry runs tc's steps and diffs their filtered streams and
+// dumps against the pinned files (or rewrites them under -update).
+func checkTelemetry(t *testing.T, dir string, tc telemetryCase) {
+	t.Helper()
+	var events, metrics strings.Builder
+	for i, step := range tc.steps {
+		ev := filepath.Join(dir, fmt.Sprintf("%s-%d.jsonl", tc.name, i))
+		prom := filepath.Join(dir, fmt.Sprintf("%s-%d.prom", tc.name, i))
+		args := strings.Fields(strings.ReplaceAll(step, "$DIR", dir))
+		args = append(args, "-events-json", ev, "-metrics-out", prom)
+		cmd := exec.Command(filepath.Join(dir, tc.tool), args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		header := fmt.Sprintf("$ %s %s [exit %d]\n", tc.tool, step, exitCode(cmd.Run()))
+		events.WriteString(header)
+		metrics.WriteString(header)
+		if err := telemetryEvents(&events, ev); err != nil {
+			t.Fatalf("%s: %v\nstderr: %s", tc.name, err, stderr.String())
+		}
+		if err := telemetryMetrics(&metrics, prom); err != nil {
+			t.Fatalf("%s: %v\nstderr: %s", tc.name, err, stderr.String())
+		}
+	}
+	for suffix, got := range map[string]string{".events.golden": events.String(), ".metrics.golden": metrics.String()} {
+		path := filepath.Join("results", "cli", tc.name+suffix)
+		if *updateSnapshots {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate: go test -run TestCLIGolden -update .)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from %s:\n%s", tc.name, path, firstDiff(got, string(want)))
+		}
+	}
+}
+
+// telemetryEvents appends the JSONL stream at path to w without its span
+// events (their durations are wall-clock) and without seq, one
+// {"type","event"} object a line.
+func telemetryEvents(w *strings.Builder, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var env struct {
+			Type  string          `json:"type"`
+			Event json.RawMessage `json:"event"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		if env.Type != "span" {
+			fmt.Fprintf(w, "{\"type\":%q,\"event\":%s}\n", env.Type, env.Event)
+		}
+	}
+	return sc.Err()
+}
+
+// telemetryMetrics appends the Prometheus dump at path to w without its
+// comment lines and without any *duration_seconds* family.
+func telemetryMetrics(w *strings.Builder, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.Contains(line, "duration_seconds") {
+			fmt.Fprintln(w, line)
+		}
+	}
+	return nil
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n--- got\n%s\n--- want\n%s", i+1, gl, wl)
+		}
+	}
+	return "(no line differs)"
 }
