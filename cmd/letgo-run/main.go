@@ -90,12 +90,9 @@ func main() {
 			}
 		}
 	} else {
-		opts := core.Options{Mode: core.ModeEnhanced}
+		opts := core.Options{Mode: core.ModeEnhanced, Obs: t.Hub}
 		if strings.EqualFold(*mode, "B") {
 			opts.Mode = core.ModeBasic
-		}
-		if t.Enabled() {
-			opts.Obs = t.Hub
 		}
 		// The runner keeps its repair state across resumptions, so the
 		// final Result is identical to a single Run call.

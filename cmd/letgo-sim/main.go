@@ -88,12 +88,8 @@ func main() {
 	default:
 		t.Fatal(fmt.Errorf("unknown -ckpt-model %q (want paper or derived)", *ckptModel))
 	}
-	var tracer checkpoint.Tracer
-	if t.Enabled() {
-		tracer = checkpoint.NewObsTracer(t.Hub, t.Progress)
-		t.Hub.Emit(obs.PhaseEvent{App: probs.Name, Phase: "simulate"})
-		t.Progress.Start("simulate "+probs.Name, 0)
-	}
+	t.Hub.Emit(obs.PhaseEvent{App: probs.Name, Phase: "simulate"})
+	t.Progress.Start("simulate "+probs.Name, 0)
 	if format == report.Text {
 		fmt.Printf("# %s: P_crash=%.3f P_v=%.3f P_v'=%.3f P_letgo=%.3f (%s)\n",
 			probs.Name, probs.PCrash, probs.PV, probs.PVPrime, probs.PLetGo, *seedSource)
@@ -126,10 +122,10 @@ func main() {
 		xLabel, header := "tchk", "T_chk"
 		var pts []checkpoint.Point
 		if *fig == 7 {
-			pts, err = checkpoint.SweepCheckpointCostModelTraced(probs, []float64{12, 120, 1200}, costOf, *sync, *mtbFaults, *seed, *horizon, tracer)
+			pts, err = checkpoint.SweepCheckpointCostModelTraced(probs, []float64{12, 120, 1200}, costOf, *sync, *mtbFaults, *seed, *horizon, t.Hub)
 		} else {
 			xLabel, header = "nodes", "Nodes"
-			pts, err = checkpoint.SweepScaleTraced(probs, costOf(*tchk), *sync, []int{100_000, 200_000, 400_000}, *seed, *horizon, tracer)
+			pts, err = checkpoint.SweepScaleTraced(probs, costOf(*tchk), *sync, []int{100_000, 200_000, 400_000}, *seed, *horizon, t.Hub)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +145,7 @@ func main() {
 		}
 	case *fig == 0:
 		params := checkpoint.ParamsFor(probs, costOf(*tchk), *sync, *mtbFaults)
-		std, lg, err := checkpoint.CompareArms(params, stats.NewRNG(*seed), *horizon, tracer)
+		std, lg, err := checkpoint.CompareArms(params, stats.NewRNG(*seed), *horizon, t.Hub)
 		if err != nil {
 			t.Fatal(err)
 		}

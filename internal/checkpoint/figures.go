@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 
+	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/stats"
 )
 
@@ -22,9 +23,11 @@ const DefaultHorizon = 10 * 365 * 24 * 3600.0
 
 // sweep is the one kernel behind both figure sweeps: for each x it builds
 // the model parameters, runs both arms on RNG streams split from a single
-// seeded source, and records the efficiency pair.
-func sweep(xs []float64, params func(x float64) (Params, error), seed uint64, horizon float64, tr Tracer) ([]Point, error) {
-	defer startSpan(tr, "checkpoint_sweep").End()
+// seeded source, and records the efficiency pair. hub, when non-nil,
+// times the sweep as a checkpoint_sweep span and receives every run's
+// transitions (see Simulate).
+func sweep(xs []float64, params func(x float64) (Params, error), seed uint64, horizon float64, hub *obs.Hub) ([]Point, error) {
+	defer hub.StartSpan("checkpoint_sweep").End()
 	rng := stats.NewRNG(seed)
 	out := make([]Point, 0, len(xs))
 	for _, x := range xs {
@@ -32,7 +35,7 @@ func sweep(xs []float64, params func(x float64) (Params, error), seed uint64, ho
 		if err != nil {
 			return nil, err
 		}
-		std, lg, err := CompareArms(p, rng, horizon, tr)
+		std, lg, err := CompareArms(p, rng, horizon, hub)
 		if err != nil {
 			return nil, err
 		}
@@ -49,17 +52,17 @@ func Figure7(app AppProbabilities, seed uint64) ([]Point, error) {
 }
 
 // SweepCheckpointCostModelTraced runs both models across checkpoint
-// costs, reporting state transitions to tr when non-nil. A non-nil cost
+// costs, reporting state transitions to hub when non-nil. A non-nil cost
 // transforms each nominal T_chk before it enters the model (e.g.
 // DerivedCheckpointCost for a derived minimal checkpoint set), while the
 // sweep's x-axis keeps the nominal value.
-func SweepCheckpointCostModelTraced(app AppProbabilities, tchks []float64, cost func(float64) float64, syncFrac, mtbFaults float64, seed uint64, horizon float64, tr Tracer) ([]Point, error) {
+func SweepCheckpointCostModelTraced(app AppProbabilities, tchks []float64, cost func(float64) float64, syncFrac, mtbFaults float64, seed uint64, horizon float64, hub *obs.Hub) ([]Point, error) {
 	return sweep(tchks, func(tchk float64) (Params, error) {
 		if cost != nil {
 			tchk = cost(tchk)
 		}
 		return ParamsFor(app, tchk, syncFrac, mtbFaults), nil
-	}, seed, horizon, tr)
+	}, seed, horizon, hub)
 }
 
 // Figure8 reproduces the paper's Figure 8: efficiency as the system
@@ -71,8 +74,8 @@ func Figure8(app AppProbabilities, tchk float64, seed uint64) ([]Point, error) {
 }
 
 // SweepScaleTraced runs both models across system sizes, reporting state
-// transitions to tr when non-nil.
-func SweepScaleTraced(app AppProbabilities, tchk, syncFrac float64, nodes []int, seed uint64, horizon float64, tr Tracer) ([]Point, error) {
+// transitions to hub when non-nil.
+func SweepScaleTraced(app AppProbabilities, tchk, syncFrac float64, nodes []int, seed uint64, horizon float64, hub *obs.Hub) ([]Point, error) {
 	xs := make([]float64, len(nodes))
 	for i, n := range nodes {
 		xs[i] = float64(n)
@@ -83,5 +86,5 @@ func SweepScaleTraced(app AppProbabilities, tchk, syncFrac float64, nodes []int,
 		}
 		mtbf := 12 * 3600.0 * 100_000 / x // crash MTBF shrinks with scale
 		return ParamsFor(app, tchk, syncFrac, 2*mtbf), nil
-	}, seed, horizon, tr)
+	}, seed, horizon, hub)
 }

@@ -167,7 +167,8 @@ func (f *faultClock) next() float64 {
 	return f.rng.Exp(f.mean)
 }
 
-// Simulator state names reported to a Tracer, matching Figure 6.
+// Simulator state names, matching Figure 6: the from/to label values of
+// letgo_sim_transitions_total and the sim_transition event.
 const (
 	StateComp     = "COMP"
 	StateVerif    = "VERIF"
@@ -177,24 +178,11 @@ const (
 	StateCont     = "CONT"
 )
 
-// Simulation arms.
+// Simulation arms: the arm label value of the letgo_sim_* metrics.
 const (
 	ArmStandard = "standard"
 	ArmLetGo    = "letgo"
 )
-
-// Tracer observes every state-machine transition of a simulation run,
-// together with the arm's running cost and verified-useful-work
-// accumulators, and times the Simulate and sweep phases as spans
-// (checkpoint_simulate per arm, checkpoint_sweep per figure sweep), so
-// the observability plane's per-phase latency histograms cover the
-// Section-7 machinery too. Tracing is strictly passive: a traced run
-// consumes the same random stream and produces the same Result as an
-// untraced one.
-type Tracer interface {
-	Transition(arm, from, to string, cost, useful float64)
-	StartSpan(name string, attrs ...string) *obs.Span
-}
 
 // Simulate is the one simulation kernel behind both arms: the shared
 // COMP/VERIF/CHK/ROLLBACK scaffolding (interval bookkeeping, fault clock,
@@ -204,9 +192,14 @@ type Tracer interface {
 // With letgo=false the crash path and the random draw sequence are
 // exactly M-S (Figure 6a): the standard arm never draws PLetGo.
 //
-// tr, when non-nil, observes every state transition; tracing is strictly
-// passive (same random stream, same Result as untraced).
-func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, tr Tracer) (Result, error) {
+// hub, when non-nil, receives every state transition — counted in
+// letgo_sim_transitions_total{arm,from,to}, the arm's running cost and
+// verified useful work in the letgo_sim_cost_seconds and
+// letgo_sim_useful_seconds gauges, one sim_transition event and one
+// progress step each — and the run is timed as a checkpoint_simulate
+// span. Tracing is strictly passive: a traced run consumes the same
+// random stream and produces the same Result as an untraced one.
+func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, hub *obs.Hub) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -215,15 +208,25 @@ func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, tr Tracer) 
 	if letgo {
 		arm = ArmLetGo
 	}
-	defer startSpan(tr, "checkpoint_simulate", "arm", arm).End()
+	defer hub.StartSpan("checkpoint_simulate", "arm", arm).End()
+	if hub != nil {
+		hub.Reg.Help("letgo_sim_transitions_total", "Section-7 simulator state transitions, by arm and edge.")
+		hub.Reg.Help("letgo_sim_cost_seconds", "Running simulated wall-clock cost, by arm.")
+		hub.Reg.Help("letgo_sim_useful_seconds", "Running verified useful work, by arm.")
+	}
 	clock := faultClock{rng: rng, mean: p.MTBFaults, shape: p.WeibullShape}
 
 	var res Result
 	var cost, u, q float64
 	trace := func(from, to string) {
-		if tr != nil {
-			tr.Transition(arm, from, to, cost, u)
+		if hub == nil {
+			return
 		}
+		hub.Counter("letgo_sim_transitions_total", "arm", arm, "from", from, "to", to).Inc()
+		hub.Gauge("letgo_sim_cost_seconds", "arm", arm).Set(cost)
+		hub.Gauge("letgo_sim_useful_seconds", "arm", arm).Set(u)
+		hub.Emit(obs.SimTransitionEvent{Arm: arm, From: from, To: to, Cost: cost, Useful: u})
+		hub.Progress.Step(arm)
 	}
 	t := clock.next() // time until the next fault
 	faults := 0       // non-crash faults since the last verified checkpoint
@@ -333,14 +336,14 @@ func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, tr Tracer) 
 }
 
 // CompareArms runs both models on the same parameters (fresh RNG streams
-// split from rng) and returns (standard, letgo). tr, when non-nil,
-// observes both arms' transitions.
-func CompareArms(p Params, rng *stats.RNG, horizon float64, tr Tracer) (Result, Result, error) {
-	std, err := Simulate(p, rng.Split(), horizon, false, tr)
+// split from rng) and returns (standard, letgo). hub, when non-nil,
+// receives both arms' transitions.
+func CompareArms(p Params, rng *stats.RNG, horizon float64, hub *obs.Hub) (Result, Result, error) {
+	std, err := Simulate(p, rng.Split(), horizon, false, hub)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	lg, err := Simulate(p, rng.Split(), horizon, true, tr)
+	lg, err := Simulate(p, rng.Split(), horizon, true, hub)
 	if err != nil {
 		return Result{}, Result{}, err
 	}

@@ -1,35 +1,72 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/stats"
 )
 
-// countingTracer tallies transitions per (arm, from, to) edge.
-type countingTracer struct {
-	edges map[[3]string]int
-	last  map[string]string // arm -> last "to" state
-	bad   int               // transitions violating state continuity
+// countingHub is a hub whose registry tallies transitions per
+// (arm, from, to) edge in letgo_sim_transitions_total, and whose event
+// stream carries every sim_transition in order.
+type countingHub struct {
+	hub    *obs.Hub
+	events bytes.Buffer
 }
 
-func newCountingTracer() *countingTracer {
-	return &countingTracer{edges: map[[3]string]int{}, last: map[string]string{}}
+func newCountingHub() *countingHub {
+	c := &countingHub{}
+	c.hub = &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&c.events)}
+	return c
 }
 
-func (c *countingTracer) Transition(arm, from, to string, cost, useful float64) {
-	c.edges[[3]string{arm, from, to}]++
-	if prev, ok := c.last[arm]; ok && prev != from && prev != StateComp {
-		// Every reported edge must chain: the previous "to" is the next
-		// "from" (COMP is the implicit start state).
-		c.bad++
+// edges reads letgo_sim_transitions_total by (arm, from, to).
+func (c *countingHub) edges() map[[3]string]int {
+	edges := map[[3]string]int{}
+	for _, m := range c.hub.Reg.Snapshot().Counters {
+		if m.Name == "letgo_sim_transitions_total" {
+			edges[[3]string{m.Labels["arm"], m.Labels["from"], m.Labels["to"]}] += int(m.Value)
+		}
 	}
-	c.last[arm] = to
+	return edges
 }
 
-func (c *countingTracer) StartSpan(string, ...string) *obs.Span { return nil }
+// broken counts the sim_transition events, and those that break state
+// continuity: every edge must chain, the previous "to" being the next
+// "from" (COMP is the implicit start state).
+func (c *countingHub) broken(t *testing.T) (bad, n int) {
+	t.Helper()
+	last := map[string]string{} // arm -> last "to" state
+	sc := bufio.NewScanner(bytes.NewReader(c.events.Bytes()))
+	for sc.Scan() {
+		var env struct {
+			Type  string `json:"type"`
+			Event struct {
+				Arm, From, To string
+			} `json:"event"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Type != "sim_transition" {
+			continue
+		}
+		n++
+		ev := env.Event
+		if prev, ok := last[ev.Arm]; ok && prev != ev.From && prev != StateComp {
+			bad++
+		}
+		last[ev.Arm] = ev.To
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return bad, n
+}
 
 func TestTracedSimulationIsPassive(t *testing.T) {
 	// A traced run must consume the same random stream and produce the
@@ -42,33 +79,42 @@ func TestTracedSimulationIsPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newCountingTracer()
-	std2, lg2, err := CompareArms(p, stats.NewRNG(7), horizon, tr)
+	tr := newCountingHub()
+	std2, lg2, err := CompareArms(p, stats.NewRNG(7), horizon, tr.hub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if std1 != std2 || lg1 != lg2 {
 		t.Errorf("tracing changed results:\n%+v vs %+v\n%+v vs %+v", std1, std2, lg1, lg2)
 	}
-	if tr.bad != 0 {
-		t.Errorf("%d transitions broke state continuity", tr.bad)
+	edges := tr.edges()
+	bad, n := tr.broken(t)
+	if bad != 0 {
+		t.Errorf("%d transitions broke state continuity", bad)
+	}
+	total := 0
+	for _, k := range edges {
+		total += k
+	}
+	if n == 0 || n != total {
+		t.Errorf("%d sim_transition events, %d counted transitions", n, total)
 	}
 
 	// The transition counts must be consistent with the Result tallies.
-	chkStd := tr.edges[[3]string{ArmStandard, StateVerif, StateChk}]
+	chkStd := edges[[3]string{ArmStandard, StateVerif, StateChk}]
 	if chkStd != std2.Checkpoints {
 		t.Errorf("standard VERIF->CHK = %d, Result.Checkpoints = %d", chkStd, std2.Checkpoints)
 	}
-	elided := tr.edges[[3]string{ArmLetGo, StateLetGo, StateCont}]
+	elided := edges[[3]string{ArmLetGo, StateLetGo, StateCont}]
 	if elided != lg2.Elided {
 		t.Errorf("letgo LETGO->CONT = %d, Result.Elided = %d", elided, lg2.Elided)
 	}
-	gaveUp := tr.edges[[3]string{ArmLetGo, StateLetGo, StateRollback}]
+	gaveUp := edges[[3]string{ArmLetGo, StateLetGo, StateRollback}]
 	if gaveUp != lg2.GaveUp {
 		t.Errorf("letgo LETGO->ROLLBACK = %d, Result.GaveUp = %d", gaveUp, lg2.GaveUp)
 	}
-	crashes := tr.edges[[3]string{ArmLetGo, StateComp, StateLetGo}] +
-		tr.edges[[3]string{ArmLetGo, StateCont, StateRollback}]
+	crashes := edges[[3]string{ArmLetGo, StateComp, StateLetGo}] +
+		edges[[3]string{ArmLetGo, StateCont, StateRollback}]
 	if crashes != lg2.Crashes {
 		t.Errorf("letgo crash edges = %d, Result.Crashes = %d", crashes, lg2.Crashes)
 	}
@@ -79,8 +125,7 @@ func TestObsTracerRecordsTransitions(t *testing.T) {
 	p := ParamsFor(app, 120, 0.10, 21600)
 	var events bytes.Buffer
 	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events)}
-	tr := NewObsTracer(hub, nil)
-	std, lg, err := CompareArms(p, stats.NewRNG(3), 1e6, tr)
+	std, lg, err := CompareArms(p, stats.NewRNG(3), 1e6, hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +160,20 @@ func TestObsTracerRecordsTransitions(t *testing.T) {
 		t.Errorf("letgo cost gauge %v exceeds final cost %v", got, lg.Cost)
 	}
 
-	// A nil-sink tracer is safe.
-	nilTr := NewObsTracer(nil, nil)
-	if _, _, err := CompareArms(p, stats.NewRNG(3), 1e5, nilTr); err != nil {
+	// A hub without sinks is safe.
+	if _, _, err := CompareArms(p, stats.NewRNG(3), 1e5, &obs.Hub{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestObsTracerSpans: a figure sweep is timed as one checkpoint_sweep span
 // around one checkpoint_simulate span per arm and point, and an untraced
-// sweep (nil Tracer) opens none.
+// sweep (nil hub) opens none.
 func TestObsTracerSpans(t *testing.T) {
 	app, _ := PaperAppByName("HPL")
 	hub := &obs.Hub{Reg: obs.NewRegistry()}
 	nodes := []int{100_000, 200_000}
-	if _, err := SweepScaleTraced(app, 120, 0.10, nodes, 5, 1e5, NewObsTracer(hub, nil)); err != nil {
+	if _, err := SweepScaleTraced(app, 120, 0.10, nodes, 5, 1e5, hub); err != nil {
 		t.Fatal(err)
 	}
 	spans := map[string]uint64{}

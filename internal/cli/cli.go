@@ -132,14 +132,10 @@ func (t *Tool) Context(deadline time.Duration) context.Context {
 }
 
 // Observe wires a campaign to the invocation: the journal and watchdog
-// from the flags and, when any sink is on, the hub and an observer that
-// mirrors the campaign into it.
+// from the flags, and the hub (nil when every sink is off) the campaign
+// writes its telemetry to.
 func (t *Tool) Observe(c *inject.Campaign) {
-	c.Journal, c.Watchdog = t.Journal, t.Watchdog
-	if t.Enabled() {
-		c.Obs = t.Hub
-		c.Observer = inject.NewObsObserver(c.App.Name, c.Mode, c.N, t.Hub, t.Progress)
-	}
+	c.Journal, c.Watchdog, c.Obs = t.Journal, t.Watchdog, t.Hub
 }
 
 // Fatal reports err and exits 1.

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -172,5 +174,118 @@ func TestDistributionOpenRefusals(t *testing.T) {
 	}
 	if st := hub.Status.Snapshot(); st.MergeJournals != 2 || st.MergeConflictingCollision != 1 {
 		t.Errorf("/status merge fields = %d journals, %d conflicting; want 2 and 1", st.MergeJournals, st.MergeConflictingCollision)
+	}
+}
+
+// TestDistributionTelemetry: a fleet's injection telemetry reaches the
+// workers' own sinks. Two in-process workers, each with its own registry
+// and event stream, execute a coordinated campaign: together they count
+// every injection once in letgo_injections_total, emit exactly one
+// injection_executed per shipped index, and end every inject phase with
+// exactly one close record. The default lease TTL lets no unit be stolen.
+func TestDistributionTelemetry(t *testing.T) {
+	app, ok := apps.ByName("CLAMR")
+	if !ok {
+		t.Fatal("no app CLAMR")
+	}
+	const n = 40
+	journal := resilience.New()
+	fleet, err := Distribution{Coordinate: "127.0.0.1:0", Options: Options{UnitSize: 10}}.Open(journal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	type sink struct {
+		reg    *obs.Registry
+		events bytes.Buffer
+	}
+	sinks := []*sink{{reg: obs.NewRegistry()}, {reg: obs.NewRegistry()}}
+	workerErrs := make(chan error, len(sinks))
+	for w, s := range sinks {
+		wk := &Worker{
+			Base: "http://" + fleet.Addr(), Name: fmt.Sprintf("w%d", w+1), Workers: 1,
+			Hub: &obs.Hub{Reg: s.reg, Em: obs.NewEmitter(&s.events)},
+		}
+		go func() { workerErrs <- wk.Run(ctx) }()
+	}
+	r, err := fleet.Run(ctx, &inject.Campaign{App: app, Mode: inject.LetGoE, N: n, Seed: 4321, Workers: 1})
+	fleet.Close()
+	for range sinks {
+		if err := <-workerErrs; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed != n {
+		t.Fatalf("coordinated campaign completed %d of %d", r.Completed, n)
+	}
+
+	var injections uint64
+	executed := map[int]int{}
+	units := 0 // inject phases: one per executed unit
+	for w, s := range sinks {
+		for _, c := range s.reg.Snapshot().Counters {
+			if c.Name == "letgo_injections_total" {
+				injections += c.Value
+			}
+		}
+		open := false
+		sc := bufio.NewScanner(&s.events)
+		for sc.Scan() {
+			var env struct {
+				Type  string `json:"type"`
+				Event struct {
+					Phase string `json:"phase"`
+					Index int    `json:"index"`
+				} `json:"event"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+				t.Fatal(err)
+			}
+			switch env.Type {
+			case "phase":
+				if env.Event.Phase == inject.PhaseInject {
+					if open {
+						t.Errorf("worker %d: an inject phase began before the last one closed", w+1)
+					}
+					open = true
+					units++
+				}
+			case "injection_executed":
+				executed[env.Event.Index]++
+			case "campaign_done", "campaign_failed":
+				if !open {
+					t.Errorf("worker %d: %s with no inject phase open", w+1, env.Type)
+				}
+				open = false
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if open {
+			t.Errorf("worker %d: the stream ends inside an inject phase", w+1)
+		}
+	}
+	if units != n/10 {
+		t.Errorf("the workers' streams hold %d inject phases, want one per unit (%d)", units, n/10)
+	}
+	if injections != n {
+		t.Errorf("letgo_injections_total sums to %d over the workers, want %d", injections, n)
+	}
+	shipped := map[int]bool{}
+	for _, rec := range journal.Records() {
+		shipped[rec.Index] = true
+	}
+	if len(shipped) != n {
+		t.Errorf("%d indices shipped, want %d", len(shipped), n)
+	}
+	for i := range shipped {
+		if executed[i] != 1 {
+			t.Errorf("shipped index %d has %d injection_executed events, want 1", i, executed[i])
+		}
 	}
 }

@@ -30,8 +30,7 @@ func TestCampaignAnalysisPhase(t *testing.T) {
 	const n = 40
 	c := &Campaign{
 		App: a, Mode: LetGoE, N: n, Seed: 11, Workers: 2,
-		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
+		Obs: hub,
 	}
 	res, err := c.Run()
 	if err != nil {

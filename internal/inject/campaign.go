@@ -70,7 +70,8 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("inject: unknown engine %q (want fork or rerun)", s)
 }
 
-// Campaign phases, in execution order, as reported to an Observer.
+// Campaign phases, in execution order, as reported to the hub and an
+// Observer.
 const (
 	PhaseCompile = "compile"
 	PhaseGolden  = "golden"
@@ -99,13 +100,14 @@ type Execution struct {
 	HasLatency bool
 }
 
-// Observer receives campaign lifecycle callbacks: phase boundaries, each
-// sampled plan, each classified injection, and the terminal result.
-// Exactly one of Done or Failed ends every campaign, so an observing
-// event stream always carries a close record. Implementations must be
+// Observer is a passive in-process hook on the campaign lifecycle: phase
+// boundaries, each sampled plan, each classified injection, and the
+// terminal result. Exactly one of Done or Failed ends every campaign.
+// Telemetry does not go through it — the campaign writes its metrics,
+// events, /status and progress to Obs itself. Implementations must be
 // safe for concurrent use — Executed is called from the campaign's
-// worker goroutines. Observers are strictly passive; campaign results
-// are identical with or without one attached.
+// worker goroutines. Campaign results are identical with or without one
+// attached.
 type Observer interface {
 	Phase(phase string)
 	Planned(index int, plan Plan)
@@ -137,9 +139,11 @@ type Campaign struct {
 	// per-injection outcomes, the terminal result or failure). Purely
 	// observational.
 	Observer Observer
-	// Obs optionally threads metric/event sinks into the core and vm
-	// layers of every injected run (trap counts by signal, heuristic
-	// applications, retired instructions). Nil disables instrumentation.
+	// Obs, when non-nil, receives the campaign's telemetry — metrics, the
+	// event stream with its close record, /status and the progress line —
+	// and is threaded into the core and vm layers of every injected run
+	// (trap counts by signal, heuristic applications, retired
+	// instructions). Nil disables instrumentation.
 	Obs *obs.Hub
 	// Engine selects the execution substrate; the zero value is the
 	// fork-replay engine (EngineFork).
@@ -291,11 +295,58 @@ func (r *Result) MedianCrashLatency() uint64 {
 	return stats.MedianUint64(r.CrashLatencies)
 }
 
-// phase reports a phase boundary to the observer and event stream.
+// phase reports a phase boundary to the observer, the event stream and
+// /status.
 func (c *Campaign) phase(name string) {
 	if c.Observer != nil {
 		c.Observer.Phase(name)
 	}
+	if c.Obs != nil {
+		c.Obs.Emit(obs.PhaseEvent{App: c.App.Name, Phase: name})
+		c.Obs.Status.SetPhase(name)
+	}
+}
+
+// done ends a campaign that produced res: the observer's Done, then the
+// campaign gauges, every class of letgo_injections_total (zeros
+// included), the close record, /status and the progress line. A shard or
+// fabric unit's res covers only that unit.
+func (c *Campaign) done(res *Result) {
+	if c.Observer != nil {
+		c.Observer.Done(res)
+	}
+	if c.Obs == nil {
+		return
+	}
+	app := c.App.Name
+	c.Obs.Gauge("letgo_campaign_pcrash", "app", app).Set(res.PCrash)
+	c.Obs.Gauge("letgo_campaign_continuability", "app", app).Set(res.Metrics.Continuability)
+	c.Obs.Gauge("letgo_campaign_median_crash_latency_instructions", "app", app).
+		Set(float64(stats.MedianUint64(res.CrashLatencies)))
+	for _, cl := range outcome.Classes() {
+		c.Obs.Counter("letgo_injections_total", "app", app, "class", cl.String()).Add(0)
+	}
+	c.Obs.Emit(obs.CampaignDoneEvent{
+		App: app, N: res.N, Completed: res.Completed,
+		Resumed: res.Resumed, Interrupted: res.Interrupted,
+	})
+	c.Obs.Status.Done(res.Interrupted)
+	c.Obs.Progress.Finish()
+}
+
+// failed ends a campaign that aborted with err while in the named phase:
+// the observer's Failed, then the close record, /status and the progress
+// line.
+func (c *Campaign) failed(phase string, err error) {
+	if c.Observer != nil {
+		c.Observer.Failed(phase, err)
+	}
+	if c.Obs == nil || c.App == nil {
+		return
+	}
+	c.Obs.Emit(obs.CampaignFailedEvent{App: c.App.Name, Phase: phase, Error: err.Error()})
+	c.Obs.Status.Failed()
+	c.Obs.Progress.Finish()
 }
 
 // journalKey identifies this campaign's records inside a resume journal.
@@ -331,9 +382,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
 	}
 	unit, err := p.Shard(c.ShardSpec)
 	if err != nil {
-		if c.Observer != nil {
-			c.Observer.Failed(PhasePlan, err)
-		}
+		c.failed(PhasePlan, err)
 		return nil, err
 	}
 	return c.ExecuteContext(ctx, p, unit)
@@ -411,6 +460,9 @@ func (c *Campaign) registerMetrics() {
 	reg.Help("letgo_analysis_full_state_bytes", "Whole data address space in bytes, by app.")
 	reg.Help("letgo_analysis_repair_safe_sites", "Destination-writing instructions certified repair-safe, by app.")
 	reg.Help("letgo_analysis_dest_sites", "Reachable destination-writing instructions, by app.")
+	reg.Help("letgo_injections_total", "Classified injections, by app and Figure-4 class.")
+	reg.Help("letgo_crash_latency_instructions", "Injection-to-crash distance in dynamic instructions.")
+	reg.Help("letgo_worker_injections_total", "Injections executed, by campaign worker.")
 	reg.Help("letgo_outcomes_total", "Classified injections by Figure-4 class, across all apps of the invocation.")
 	for _, cl := range outcome.Classes() {
 		// Materialize every class so dumps and /metrics carry explicit

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +33,9 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 	defer func() {
 		if err != nil {
 			// Whatever already completed is worth keeping for a resume,
-			// and the observer stream must end with a close record.
+			// and the event stream must end with a close record.
 			c.Journal.Flush()
-			if c.Observer != nil {
-				c.Observer.Failed(PhaseInject, err)
-			}
+			c.failed(PhaseInject, err)
 		}
 	}()
 	if p == nil || unit == nil {
@@ -64,6 +63,9 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 	}
 
 	c.phase(PhaseInject)
+	if c.Obs != nil {
+		c.Obs.Progress.Start("inject "+c.App.Name, unit.Size())
+	}
 	// The inject span ends on every return, so the lanes' worker_chunk
 	// spans always have an enclosing span in a trace.
 	spInject := c.Obs.StartSpan("inject", "app", c.App.Name, "engine", c.Engine.String())
@@ -94,9 +96,7 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 	}
 
 	res = c.aggregate(p, unit, results, completed, resumed, estats)
-	if c.Observer != nil {
-		c.Observer.Done(res)
-	}
+	c.done(res)
 	return res, nil
 }
 
@@ -194,10 +194,12 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Exec
 		completed[i] = true
 		resumed++
 		if c.Obs != nil {
-			// Keep the engine-independent class tally and /status aligned
-			// with the table a resumed campaign will render.
+			// Keep the engine-independent class tally, /status and the
+			// progress line aligned with the table a resumed campaign
+			// will render.
 			c.Obs.Counter("letgo_outcomes_total", "class", r.Class.String()).Inc()
 			c.Obs.Status.RecordRestored(r.Class.String(), r.Class.Quarantined())
+			c.Obs.Progress.Step(r.Class.String())
 		}
 	}
 	if resumed > 0 && c.Obs != nil {
@@ -400,13 +402,18 @@ func (c *Campaign) quarantine(i int, reason, stack string) Execution {
 	return Execution{Class: class}
 }
 
+// latencyBuckets spans the observed crash-latency range: the paper's
+// observation 3 is that most crashes land within tens of instructions.
+var latencyBuckets = obs.ExpBuckets(1, 4, 12)
+
 // finish journals and reports one classified injection.
 func (c *Campaign) finish(e Execution, quar, stack string) {
+	class := e.Class.String()
 	// Engine-independent per-class tally: both engines route every
 	// classified injection through here, so /metrics agrees with the
 	// rendered table.
 	if c.Obs != nil {
-		c.Obs.Counter("letgo_outcomes_total", "class", e.Class.String()).Inc()
+		c.Obs.Counter("letgo_outcomes_total", "class", class).Inc()
 	}
 	if c.Journal != nil {
 		// Append errors are not fatal mid-campaign: the record stays in
@@ -420,6 +427,35 @@ func (c *Campaign) finish(e Execution, quar, stack string) {
 	if c.Observer != nil {
 		c.Observer.Executed(e)
 	}
+	if c.Obs == nil {
+		return
+	}
+	app := c.App.Name
+	sig := ""
+	if e.Signal != vm.SIGNONE {
+		sig = e.Signal.String()
+	}
+	c.Obs.Emit(obs.InjectionExecutedEvent{
+		App: app, Index: e.Index, Worker: e.Worker, Class: class, Signal: sig,
+		Retired: e.Retired, CrashLatency: e.Latency, HasLatency: e.HasLatency,
+		RepairSafe: e.RepairSafe,
+	})
+	c.Obs.Emit(obs.OutcomeEvent{App: app, Index: e.Index, Class: class})
+	c.Obs.Counter("letgo_injections_total", "app", app, "class", class).Inc()
+	c.Obs.Counter("letgo_worker_injections_total", "worker", workerLabel(e.Worker)).Inc()
+	if e.HasLatency {
+		c.Obs.Histogram("letgo_crash_latency_instructions", latencyBuckets).Observe(float64(e.Latency))
+	}
+	c.Obs.Status.Record(class, e.Class.Quarantined())
+	c.Obs.Progress.Step(class)
+}
+
+// workerLabel formats a worker index as a metric label.
+func workerLabel(w int) string {
+	if w < 0 {
+		return "?"
+	}
+	return strconv.Itoa(w)
 }
 
 // record converts one classified injection into its journal form.

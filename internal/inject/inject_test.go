@@ -556,13 +556,8 @@ func TestCampaignObserverDeterminism(t *testing.T) {
 	}
 
 	var events bytes.Buffer
-	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events)}
-	prog := obs.NewProgress(io.Discard, 0)
-	observed := &Campaign{
-		App: a, Mode: LetGoE, N: 60, Seed: 99, Workers: 2,
-		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, 60, hub, prog),
-	}
+	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events), Progress: obs.NewProgress(io.Discard, 0)}
+	observed := &Campaign{App: a, Mode: LetGoE, N: 60, Seed: 99, Workers: 2, Obs: hub}
 	r2, err := observed.Run()
 	if err != nil {
 		t.Fatal(err)

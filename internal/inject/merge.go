@@ -8,7 +8,8 @@ import (
 )
 
 // PhaseMerge is the lifecycle phase of the pipeline's Merge stage, as
-// reported to an Observer (merge runs compile/golden first, then this).
+// reported to the hub and an Observer (merge runs compile/golden first,
+// then this).
 const PhaseMerge = "merge"
 
 // Merge is MergeContext without cancellation.
@@ -35,8 +36,8 @@ func (c *Campaign) Merge(j *resilience.Journal) (*Result, error) {
 func (c *Campaign) MergeContext(ctx context.Context, j *resilience.Journal) (res *Result, err error) {
 	curPhase := ""
 	defer func() {
-		if err != nil && c.Observer != nil {
-			c.Observer.Failed(curPhase, err)
+		if err != nil {
+			c.failed(curPhase, err)
 		}
 	}()
 	setPhase := func(name string) {
@@ -65,8 +66,6 @@ func (c *Campaign) MergeContext(ctx context.Context, j *resilience.Journal) (res
 	spMerge.End()
 
 	res = c.aggregate(p, unit, results, completed, restored, EngineStats{Engine: "merge"})
-	if c.Observer != nil {
-		c.Observer.Done(res)
-	}
+	c.done(res)
 	return res, nil
 }

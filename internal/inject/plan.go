@@ -163,8 +163,8 @@ func ParsePlanManifest(data []byte) (PlanManifest, error) {
 func (c *Campaign) PlanContext(ctx context.Context) (p *PlannedCampaign, err error) {
 	curPhase := ""
 	defer func() {
-		if err != nil && c.Observer != nil {
-			c.Observer.Failed(curPhase, err)
+		if err != nil {
+			c.failed(curPhase, err)
 		}
 	}()
 	setPhase := func(name string) {
@@ -201,6 +201,12 @@ func (c *Campaign) PlanContext(ctx context.Context) (p *PlannedCampaign, err err
 		if c.Observer != nil {
 			c.Observer.Planned(i, p.Plans[i])
 		}
+		if c.Obs != nil {
+			pl := p.Plans[i]
+			c.Obs.Emit(obs.InjectionPlannedEvent{
+				App: c.App.Name, Index: i, Addr: pl.Site.Addr, Instance: pl.Site.Instance, Mask: pl.Mask,
+			})
+		}
 	}
 	spPlan.End()
 	return p, nil
@@ -219,6 +225,9 @@ func (c *Campaign) prepare(ctx context.Context, setPhase func(string), engineLab
 		return nil, err
 	}
 	c.registerMetrics()
+	if c.Obs != nil {
+		c.Obs.Status.Begin(c.App.Name, c.Mode.String(), c.N)
+	}
 	p := &PlannedCampaign{Key: c.journalKey(), Engine: c.Engine, start: time.Now()}
 
 	setPhase(PhaseCompile)

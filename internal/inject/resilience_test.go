@@ -111,7 +111,6 @@ func TestCampaignPanicQuarantineAndResume(t *testing.T) {
 			c := &Campaign{
 				App: a, Mode: LetGoE, N: n, Seed: 5, Workers: 2, Engine: eng,
 				Journal: j, Obs: hub,
-				Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
 			}
 			// Panic on every attempt: retry fails too, so injection 7 is
 			// quarantined as C-HarnessFault and the campaign moves on.

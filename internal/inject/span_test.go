@@ -19,8 +19,7 @@ func TestCampaignSpanTaxonomy(t *testing.T) {
 	const n = 40
 	c := &Campaign{
 		App: a, Mode: LetGoE, N: n, Seed: 7, Workers: 2, Engine: EngineFork,
-		Obs:      hub,
-		Observer: NewObsObserver(a.Name, LetGoE, n, hub, nil),
+		Obs: hub,
 	}
 	res, err := c.Run()
 	if err != nil {

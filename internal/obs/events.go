@@ -222,6 +222,9 @@ type Hub struct {
 	// holds the hub records a /status fact next to the metric that
 	// reports the same fact.
 	Status *CampaignStatus
+	// Progress is the live progress line; nil unless -progress (every
+	// Progress method is a no-op on nil).
+	Progress *Progress
 }
 
 // Counter returns the named counter, or nil without a registry.

@@ -37,9 +37,11 @@ type Options struct {
 // killed mid-write never leaves a truncated -metrics-out or -events-json
 // behind (tail the in-progress stream via the *.tmp* file if needed).
 type Sinks struct {
-	// Hub carries the registry and/or emitter; nil when everything is off.
+	// Hub carries the registry, emitter, status tracker and progress
+	// line; nil when everything is off.
 	Hub *Hub
 	// Progress renders live progress on stderr; nil unless -progress.
+	// It is the reporter Hub.Progress carries down the stack.
 	Progress *Progress
 	// Fanout broadcasts the event stream to SSE subscribers; nil unless
 	// serving.
@@ -91,18 +93,13 @@ func Open(o Options) (*Sinks, error) {
 	if eventsW != nil {
 		em = NewEmitter(eventsW)
 	}
-	if reg != nil || em != nil {
-		s.Hub = &Hub{Reg: reg, Em: em, Status: s.Status}
-	}
 	if o.Progress {
 		s.Progress = NewProgress(os.Stderr, DefaultProgressInterval)
 	}
+	if reg != nil || em != nil || s.Progress != nil {
+		s.Hub = &Hub{Reg: reg, Em: em, Status: s.Status, Progress: s.Progress}
+	}
 	return s, nil
-}
-
-// Enabled reports whether any sink is active.
-func (s *Sinks) Enabled() bool {
-	return s != nil && (s.Hub != nil || s.Progress != nil)
 }
 
 // Close atomically publishes the metrics dump (Prometheus text, or JSON

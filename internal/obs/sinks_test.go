@@ -15,7 +15,7 @@ func TestSinksAtomicPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Enabled() || s.Hub == nil {
+	if s.Hub == nil {
 		t.Fatal("sinks not enabled")
 	}
 	s.Hub.Counter("letgo_test_total").Inc()
@@ -74,14 +74,23 @@ func TestSinksAllOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Enabled() {
-		t.Error("empty sinks enabled")
+	if s.Hub != nil {
+		t.Error("empty sinks hold a hub")
 	}
 	if err := s.Close(); err != nil {
 		t.Error(err)
 	}
+	// -progress alone yields a hub that carries the progress line down
+	// the stack.
+	p, err := Open(Options{Progress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Hub == nil || p.Progress == nil || p.Hub.Progress != p.Progress || p.Hub.Reg != nil || p.Hub.Em != nil {
+		t.Errorf("-progress alone: hub %+v, progress %p", p.Hub, p.Progress)
+	}
 	var nilSinks *Sinks
-	if nilSinks.Enabled() || nilSinks.Close() != nil {
+	if nilSinks.Close() != nil {
 		t.Error("nil sinks misbehave")
 	}
 }

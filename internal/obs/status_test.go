@@ -60,6 +60,30 @@ func TestCampaignStatusLifecycle(t *testing.T) {
 	}
 }
 
+// TestCampaignStatusShardETA: a shard owns only its planned injections,
+// so the ETA counts down from shard_planned, not from N.
+func TestCampaignStatusShardETA(t *testing.T) {
+	s := NewCampaignStatus()
+	clock := time.Unix(1700000000, 0)
+	s.SetClock(func() time.Time { return clock })
+	s.Begin("CLAMR", "LetGo-E", 60)
+	s.SetShard(1, 3, 20)
+	s.SetPhase("inject")
+	clock = clock.Add(10 * time.Second)
+	for i := 0; i < 10; i++ {
+		s.Record("Benign", false)
+	}
+	if snap := s.Snapshot(); snap.RatePerSecond != 1 || snap.ETASeconds != 10 {
+		t.Errorf("rate %v eta %v, want 1/s and 10 s (10 of 20 owned left)", snap.RatePerSecond, snap.ETASeconds)
+	}
+	for i := 0; i < 10; i++ {
+		s.Record("Benign", false)
+	}
+	if snap := s.Snapshot(); snap.ETASeconds != 0 {
+		t.Errorf("eta %v with the shard's 20 done, want 0", snap.ETASeconds)
+	}
+}
+
 func TestCampaignStatusNilSafe(t *testing.T) {
 	var s *CampaignStatus
 	s.SetClock(time.Now)
