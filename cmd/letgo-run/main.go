@@ -62,7 +62,9 @@ func main() {
 			t.Hub.Counter("letgo_vm_traps_total", "signal", tr.Signal.String()).Inc()
 		}
 	}
-	t.Progress.Start("run "+name, 0)
+	t.Status.Begin(name, "", 0)
+	t.Status.SetPhase("run")
+	t.Status.Execute(0)
 
 	if strings.EqualFold(*mode, "off") {
 		var ring *trace.Ring
@@ -70,14 +72,14 @@ func main() {
 		if *traceN > 0 {
 			ring = trace.NewRing(*traceN)
 			err = trace.RunTraced(m, ring, *budget)
-			t.Progress.Update(int(m.Retired))
+			t.Status.SetCompleted(int(m.Retired))
 		} else {
 			runChunked(t, m, *budget, func(target uint64) bool {
 				err = m.Run(target)
 				return err == vm.ErrBudget
 			})
 		}
-		t.Progress.Finish()
+		t.Status.Done(false)
 		switch {
 		case err == nil:
 			fmt.Println("outcome: completed")
@@ -102,7 +104,7 @@ func main() {
 			res = runner.Run(target)
 			return res.Outcome == core.RunHang
 		})
-		t.Progress.Finish()
+		t.Status.Done(false)
 		fmt.Printf("outcome: %v  signal: %v  crashes elided: %d  retired: %d\n",
 			res.Outcome, res.Signal, res.Repairs, res.Retired)
 		if *events {
@@ -124,7 +126,7 @@ func main() {
 // resumptions; the chunking is invisible to the program (the budget check
 // in vm.Run is against the absolute retired count).
 func runChunked(t *cli.Tool, m *vm.Machine, budget uint64, resume func(target uint64) bool) {
-	if t.Progress == nil {
+	if t.Status == nil {
 		resume(budget)
 		return
 	}
@@ -134,7 +136,7 @@ func runChunked(t *cli.Tool, m *vm.Machine, budget uint64, resume func(target ui
 			target = budget
 		}
 		more := resume(target)
-		t.Progress.Update(int(m.Retired))
+		t.Status.SetCompleted(int(m.Retired))
 		if !more || target >= budget {
 			return
 		}

@@ -67,6 +67,7 @@ func main() {
 	// T_chk to the minimal checkpoint set it derives.
 	costOf := func(x float64) float64 { return x }
 	var state *analysis.StateSet
+	t.Status.Begin(probs.Name, "", 0)
 	switch *ckptModel {
 	case "paper":
 	case "derived":
@@ -89,7 +90,8 @@ func main() {
 		t.Fatal(fmt.Errorf("unknown -ckpt-model %q (want paper or derived)", *ckptModel))
 	}
 	t.Hub.Emit(obs.PhaseEvent{App: probs.Name, Phase: "simulate"})
-	t.Progress.Start("simulate "+probs.Name, 0)
+	t.Status.SetPhase("simulate")
+	t.Status.Execute(0)
 	if format == report.Text {
 		fmt.Printf("# %s: P_crash=%.3f P_v=%.3f P_v'=%.3f P_letgo=%.3f (%s)\n",
 			probs.Name, probs.PCrash, probs.PV, probs.PVPrime, probs.PLetGo, *seedSource)
@@ -160,6 +162,7 @@ func main() {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	t.Status.Done(false)
 	t.Finish(false, "")
 }
 

@@ -196,9 +196,10 @@ const (
 // letgo_sim_transitions_total{arm,from,to}, the arm's running cost and
 // verified useful work in the letgo_sim_cost_seconds and
 // letgo_sim_useful_seconds gauges, one sim_transition event and one
-// progress step each — and the run is timed as a checkpoint_simulate
-// span. Tracing is strictly passive: a traced run consumes the same
-// random stream and produces the same Result as an untraced one.
+// live-tally record under the arm each — and the run is timed as a
+// checkpoint_simulate span. Tracing is strictly passive: a traced run
+// consumes the same random stream and produces the same Result as an
+// untraced one.
 func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, hub *obs.Hub) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -226,7 +227,7 @@ func Simulate(p Params, rng *stats.RNG, horizon float64, letgo bool, hub *obs.Hu
 		hub.Gauge("letgo_sim_cost_seconds", "arm", arm).Set(cost)
 		hub.Gauge("letgo_sim_useful_seconds", "arm", arm).Set(u)
 		hub.Emit(obs.SimTransitionEvent{Arm: arm, From: from, To: to, Cost: cost, Useful: u})
-		hub.Progress.Step(arm)
+		hub.Status.Record(arm, false)
 	}
 	t := clock.next() // time until the next fault
 	faults := 0       // non-crash faults since the last verified checkpoint

@@ -160,9 +160,12 @@ func (t *Tool) Finish(interrupted bool, detail string) {
 
 // exit is the only way out once a Tool exists: whatever the code, the
 // sinks are published (what was collected up to a failure is what explains
-// it) and the plane is shut down so SSE streams end cleanly.
+// it) and the plane is shut down so SSE streams end cleanly. An error
+// marks the live tally failed, which ends a progress line left open.
 func (t *Tool) exit(code int) {
-	t.Progress.Finish()
+	if code == exitErr {
+		t.Status.Failed()
+	}
 	if err := t.Sinks.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", t.Name, err)
 		code = exitErr

@@ -116,7 +116,7 @@ func (d Distribution) Open(journal *resilience.Journal, collided func(resilience
 
 // Run runs one campaign: whole or one shard into the session's journal;
 // from the merged journals; or planned here, executed by the fleet, and
-// rendered from the records shipped so far.
+// rendered from that plan and the records shipped so far.
 func (s *Session) Run(ctx context.Context, c *inject.Campaign) (*inject.Result, error) {
 	switch {
 	case s.merged != nil:
@@ -131,7 +131,7 @@ func (s *Session) Run(ctx context.Context, c *inject.Campaign) (*inject.Result, 
 		if err := s.coord.Coordinate(ctx, p.Manifest()); err != nil && err != ctx.Err() {
 			return nil, err
 		}
-		return c.MergeContext(context.Background(), s.journal)
+		return c.MergePlanned(p, s.journal)
 	}
 	c.ShardSpec, c.Journal = s.shard, s.journal
 	return c.RunContext(ctx)

@@ -155,7 +155,7 @@ func TestDistributionOpenRefusals(t *testing.T) {
 		}
 	}
 
-	hub := &obs.Hub{Reg: obs.NewRegistry(), Status: obs.NewCampaignStatus()}
+	hub := &obs.Hub{Reg: obs.NewRegistry(), Status: obs.NewCampaignStatus(nil)}
 	var collided []resilience.Collision
 	_, err := Distribution{Merge: paths, Options: Options{Hub: hub}}.Open(nil, func(c resilience.Collision) {
 		collided = append(collided, c)
@@ -287,5 +287,90 @@ func TestDistributionTelemetry(t *testing.T) {
 		if executed[i] != 1 {
 			t.Errorf("shipped index %d has %d injection_executed events, want 1", i, executed[i])
 		}
+	}
+}
+
+// TestPrepareOncePerCampaign: every setting compiles, analyses and runs
+// the golden execution of a campaign once per process. The campaign's own
+// event stream holds exactly one golden phase on the local run, on each
+// shard, on the merge and on the coordinator, which renders from the plan
+// it published instead of preparing again.
+func TestPrepareOncePerCampaign(t *testing.T) {
+	app, ok := apps.ByName("CLAMR")
+	if !ok {
+		t.Fatal("no app CLAMR")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	goldens := func(setting string, s *Session) {
+		t.Helper()
+		var events bytes.Buffer
+		c := &inject.Campaign{App: app, Mode: inject.LetGoE, N: 20, Seed: 4321, Workers: 1, Obs: &obs.Hub{Em: obs.NewEmitter(&events)}}
+		if _, err := s.Run(ctx, c); err != nil {
+			t.Fatalf("%s: %v", setting, err)
+		}
+		var phases []string
+		golden := 0
+		sc := bufio.NewScanner(&events)
+		for sc.Scan() {
+			var env struct {
+				Type  string `json:"type"`
+				Event struct {
+					Phase string `json:"phase"`
+				} `json:"event"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Type == "phase" {
+				phases = append(phases, env.Event.Phase)
+				if env.Event.Phase == inject.PhaseGolden {
+					golden++
+				}
+			}
+		}
+		if golden != 1 {
+			t.Errorf("%s: %d golden phases (phases %v), want 1", setting, golden, phases)
+		}
+	}
+
+	local, err := Distribution{}.Open(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens("local", local)
+
+	dir := t.TempDir()
+	var paths []string
+	for i := 1; i <= 2; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
+		paths = append(paths, path)
+		j, err := resilience.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := Distribution{Shard: inject.ShardSpec{Index: i, Count: 2}}.Open(j, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldens(fmt.Sprintf("shard %d/2", i), shard)
+	}
+	merge, err := Distribution{Merge: paths}.Open(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens("merge", merge)
+
+	fleet, err := Distribution{Coordinate: "127.0.0.1:0", Options: Options{UnitSize: 10}}.Open(resilience.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerErr := make(chan error, 1)
+	wk := &Worker{Base: "http://" + fleet.Addr(), Name: "w1", Workers: 1}
+	go func() { workerErr <- wk.Run(ctx) }()
+	goldens("coordinate", fleet)
+	fleet.Close()
+	if err := <-workerErr; err != nil {
+		t.Errorf("worker: %v", err)
 	}
 }

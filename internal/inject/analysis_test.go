@@ -25,7 +25,7 @@ func analysisApp(t *testing.T) *apps.App {
 func TestCampaignAnalysisPhase(t *testing.T) {
 	a := analysisApp(t)
 	var events bytes.Buffer
-	status := obs.NewCampaignStatus()
+	status := obs.NewCampaignStatus(nil)
 	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events), Status: status}
 	const n = 40
 	c := &Campaign{

@@ -309,8 +309,8 @@ func (c *Campaign) phase(name string) {
 
 // done ends a campaign that produced res: the observer's Done, then the
 // campaign gauges, every class of letgo_injections_total (zeros
-// included), the close record, /status and the progress line. A shard or
-// fabric unit's res covers only that unit.
+// included), the close record and the live tally, which ends its
+// progress line. A shard or fabric unit's res covers only that unit.
 func (c *Campaign) done(res *Result) {
 	if c.Observer != nil {
 		c.Observer.Done(res)
@@ -331,12 +331,10 @@ func (c *Campaign) done(res *Result) {
 		Resumed: res.Resumed, Interrupted: res.Interrupted,
 	})
 	c.Obs.Status.Done(res.Interrupted)
-	c.Obs.Progress.Finish()
 }
 
 // failed ends a campaign that aborted with err while in the named phase:
-// the observer's Failed, then the close record, /status and the progress
-// line.
+// the observer's Failed, then the close record and the live tally.
 func (c *Campaign) failed(phase string, err error) {
 	if c.Observer != nil {
 		c.Observer.Failed(phase, err)
@@ -346,7 +344,6 @@ func (c *Campaign) failed(phase string, err error) {
 	}
 	c.Obs.Emit(obs.CampaignFailedEvent{App: c.App.Name, Phase: phase, Error: err.Error()})
 	c.Obs.Status.Failed()
-	c.Obs.Progress.Finish()
 }
 
 // journalKey identifies this campaign's records inside a resume journal.

@@ -64,7 +64,7 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 
 	c.phase(PhaseInject)
 	if c.Obs != nil {
-		c.Obs.Progress.Start("inject "+c.App.Name, unit.Size())
+		c.Obs.Status.Execute(unit.Size())
 	}
 	// The inject span ends on every return, so the lanes' worker_chunk
 	// spans always have an enclosing span in a trace.
@@ -109,7 +109,7 @@ func (c *Campaign) reportShard(unit *WorkUnit) {
 	c.Obs.Gauge("letgo_shard_index").Set(float64(unit.Spec.Index))
 	c.Obs.Gauge("letgo_shard_count").Set(float64(unit.Spec.Count))
 	c.Obs.Gauge("letgo_shard_planned_injections", "app", c.App.Name).Set(float64(unit.Size()))
-	c.Obs.Status.SetShard(unit.Spec.Index, unit.Spec.Count, unit.Size())
+	c.Obs.Status.SetShard(unit.Spec.Index, unit.Spec.Count)
 }
 
 // aggregate folds the unit's classified injections into a Result.
@@ -194,12 +194,11 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Exec
 		completed[i] = true
 		resumed++
 		if c.Obs != nil {
-			// Keep the engine-independent class tally, /status and the
-			// progress line aligned with the table a resumed campaign
-			// will render.
+			// Keep the engine-independent class tally and the live
+			// tally aligned with the table a resumed campaign will
+			// render.
 			c.Obs.Counter("letgo_outcomes_total", "class", r.Class.String()).Inc()
 			c.Obs.Status.RecordRestored(r.Class.String(), r.Class.Quarantined())
-			c.Obs.Progress.Step(r.Class.String())
 		}
 	}
 	if resumed > 0 && c.Obs != nil {
@@ -440,14 +439,12 @@ func (c *Campaign) finish(e Execution, quar, stack string) {
 		Retired: e.Retired, CrashLatency: e.Latency, HasLatency: e.HasLatency,
 		RepairSafe: e.RepairSafe,
 	})
-	c.Obs.Emit(obs.OutcomeEvent{App: app, Index: e.Index, Class: class})
 	c.Obs.Counter("letgo_injections_total", "app", app, "class", class).Inc()
 	c.Obs.Counter("letgo_worker_injections_total", "worker", workerLabel(e.Worker)).Inc()
 	if e.HasLatency {
 		c.Obs.Histogram("letgo_crash_latency_instructions", latencyBuckets).Observe(float64(e.Latency))
 	}
 	c.Obs.Status.Record(class, e.Class.Quarantined())
-	c.Obs.Progress.Step(class)
 }
 
 // workerLabel formats a worker index as a metric label.

@@ -556,7 +556,7 @@ func TestCampaignObserverDeterminism(t *testing.T) {
 	}
 
 	var events bytes.Buffer
-	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events), Progress: obs.NewProgress(io.Discard, 0)}
+	hub := &obs.Hub{Reg: obs.NewRegistry(), Em: obs.NewEmitter(&events), Status: obs.NewCampaignStatus(obs.NewProgress(io.Discard, 0))}
 	observed := &Campaign{App: a, Mode: LetGoE, N: 60, Seed: 99, Workers: 2, Obs: hub}
 	r2, err := observed.Run()
 	if err != nil {

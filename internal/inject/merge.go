@@ -33,26 +33,29 @@ func (c *Campaign) Merge(j *resilience.Journal) (*Result, error) {
 // like an interrupted campaign, so callers can render what exists and
 // re-run the missing shard. Writer-identity collisions are the caller's
 // concern: detect them at combine time with resilience.MergeFiles.
-func (c *Campaign) MergeContext(ctx context.Context, j *resilience.Journal) (res *Result, err error) {
+func (c *Campaign) MergeContext(ctx context.Context, j *resilience.Journal) (*Result, error) {
 	curPhase := ""
+	p, err := c.prepare(ctx, func(name string) { curPhase = name; c.phase(name) }, "merge", false)
+	if err != nil {
+		c.failed(curPhase, err)
+		return nil, err
+	}
+	return c.MergePlanned(p, j)
+}
+
+// MergePlanned is the Merge stage over a campaign this process has
+// already planned (a coordinator renders the records its fleet shipped
+// from the plan it published), so nothing is compiled or run again.
+func (c *Campaign) MergePlanned(p *PlannedCampaign, j *resilience.Journal) (res *Result, err error) {
 	defer func() {
 		if err != nil {
-			c.failed(curPhase, err)
+			c.failed(PhaseMerge, err)
 		}
 	}()
-	setPhase := func(name string) {
-		curPhase = name
-		c.phase(name)
-	}
 	if j == nil {
 		return nil, fmt.Errorf("inject: merge needs a journal")
 	}
-	p, err := c.prepare(ctx, setPhase, "merge", false)
-	if err != nil {
-		return nil, err
-	}
-
-	setPhase(PhaseMerge)
+	c.phase(PhaseMerge)
 	spMerge := c.Obs.StartSpan("merge", "app", c.App.Name)
 	// Merge consumes journal records only, so the unit is just the index
 	// universe [0, N); no plan list exists.

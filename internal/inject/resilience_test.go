@@ -149,7 +149,7 @@ func TestCampaignPanicQuarantineAndResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &recordingObserver{}
-			status := obs.NewCampaignStatus()
+			status := obs.NewCampaignStatus(nil)
 			c2 := &Campaign{
 				App: a, Mode: LetGoE, N: n, Seed: 5, Workers: 2, Engine: eng,
 				Journal: j2, Observer: rec, Obs: &obs.Hub{Reg: obs.NewRegistry(), Status: status},

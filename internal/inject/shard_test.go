@@ -246,7 +246,7 @@ func TestShardWriterIdentity(t *testing.T) {
 		filepath.Join(dir, "s3.jsonl"),
 	}
 	runShard(t, c, inject.ShardSpec{Index: 1, Count: 3}, paths[0], false)
-	status := obs.NewCampaignStatus()
+	status := obs.NewCampaignStatus(nil)
 	c.Obs = &obs.Hub{Reg: obs.NewRegistry(), Status: status}
 	runShard(t, c, inject.ShardSpec{Index: 3, Count: 3}, paths[1], false)
 	c.Obs = nil

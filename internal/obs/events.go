@@ -51,15 +51,6 @@ type InjectionExecutedEvent struct {
 
 func (InjectionExecutedEvent) EventType() string { return "injection_executed" }
 
-// OutcomeEvent records the Figure-4 classification of one run.
-type OutcomeEvent struct {
-	App   string `json:"app,omitempty"`
-	Index int    `json:"index"`
-	Class string `json:"class"`
-}
-
-func (OutcomeEvent) EventType() string { return "outcome" }
-
 // SignalEvent records a crash-causing signal observed by LetGo's monitor.
 type SignalEvent struct {
 	Signal      string `json:"signal"`
@@ -217,14 +208,12 @@ func (e *Emitter) Err() error {
 type Hub struct {
 	Reg *Registry
 	Em  *Emitter
-	// Status is the /status tracker; nil unless the invocation serves the
-	// live plane (every CampaignStatus method is a no-op on nil). Whoever
-	// holds the hub records a /status fact next to the metric that
-	// reports the same fact.
+	// Status is the live tally behind /status and the progress line; nil
+	// unless the invocation serves the live plane or draws -progress
+	// (every CampaignStatus method is a no-op on nil). Whoever holds the
+	// hub records a /status fact next to the metric that reports the
+	// same fact.
 	Status *CampaignStatus
-	// Progress is the live progress line; nil unless -progress (every
-	// Progress method is a no-op on nil).
-	Progress *Progress
 }
 
 // Counter returns the named counter, or nil without a registry.

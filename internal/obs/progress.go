@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -13,160 +12,60 @@ import (
 // progress lines.
 const DefaultProgressInterval = 250 * time.Millisecond
 
-// Progress renders live throughput to a terminal: done/total, rate, ETA
-// and running per-class counts, redrawn in place (carriage return) at a
-// throttled interval so even million-step campaigns pay close to nothing
-// for it. It is safe for concurrent use and nil-safe: a nil *Progress
-// ignores every call, and Progress never influences the computation it
-// reports on.
+// Progress draws a CampaignStatus as one live terminal line: done/owned,
+// rate, ETA and running per-class counts, redrawn in place (carriage
+// return) at a throttled interval so even million-step campaigns pay
+// close to nothing for it. It keeps no counts of its own: the tracker
+// that holds it decides when a line opens and closes and hands it each
+// snapshot to draw, under the tracker's lock and on the tracker's clock.
 type Progress struct {
 	w        io.Writer
 	interval time.Duration
-	now      func() time.Time
-
-	mu      sync.Mutex
-	label   string
-	total   int
-	done    int
-	classes map[string]int
-	start   time.Time
-	last    time.Time
-	active  bool
-	renders int
+	last     time.Time // the last draw; zero while no line is open
+	renders  int
 }
 
-// NewProgress returns a reporter writing to w (stderr is the conventional
+// NewProgress returns a line writing to w (stderr is the conventional
 // sink) with the given redraw interval; interval 0 means
-// DefaultProgressInterval.
+// DefaultProgressInterval. Hand it to NewCampaignStatus.
 func NewProgress(w io.Writer, interval time.Duration) *Progress {
 	if interval <= 0 {
 		interval = DefaultProgressInterval
 	}
-	return &Progress{w: w, interval: interval, now: time.Now}
+	return &Progress{w: w, interval: interval}
 }
 
-// SetClock replaces the time source (tests).
-func (p *Progress) SetClock(now func() time.Time) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.now = now
-	p.mu.Unlock()
-}
-
-// Start begins (or restarts) a labelled run of total units; total 0 means
-// unknown (no percentage or ETA is rendered).
-func (p *Progress) Start(label string, total int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.label = label
-	p.total = total
-	p.done = 0
-	p.classes = make(map[string]int)
-	p.start = p.now()
-	p.last = time.Time{}
-	p.active = true
-}
-
-// Step records one completed unit in the given class ("" for unclassed
-// units) and redraws if the throttle interval has elapsed.
-func (p *Progress) Step(class string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active {
-		return
-	}
-	p.done++
-	if class != "" {
-		p.classes[class]++
-	}
-	p.maybeRender()
-}
-
-// Update sets the absolute progress (simulated clocks, instruction
-// counts) and redraws if the throttle interval has elapsed.
-func (p *Progress) Update(done int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active {
-		return
-	}
-	p.done = done
-	p.maybeRender()
-}
-
-// Finish renders one final line and terminates it with a newline.
-func (p *Progress) Finish() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.active {
-		return
-	}
-	p.render()
-	fmt.Fprintln(p.w)
-	p.active = false
-}
-
-// Renders reports how many lines have been drawn (tests).
-func (p *Progress) Renders() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.renders
-}
-
-// maybeRender redraws when the interval has elapsed. Callers hold p.mu.
-func (p *Progress) maybeRender() {
-	now := p.now()
-	if !p.last.IsZero() && now.Sub(p.last) < p.interval {
-		return
-	}
-	p.last = now
-	p.render()
-}
-
-// render draws one line. Callers hold p.mu.
-func (p *Progress) render() {
-	elapsed := p.now().Sub(p.start).Seconds()
+// draw renders snap over the previous draw, opening the line if none is
+// open; owned is the work the run owns (0: unknown, so no percentage).
+// final ends the line with a newline and closes it.
+func (p *Progress) draw(now time.Time, snap StatusSnapshot, owned int, final bool) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "\r%s  %d", p.label, p.done)
-	if p.total > 0 {
-		fmt.Fprintf(&b, "/%d (%.0f%%)", p.total, 100*float64(p.done)/float64(p.total))
+	fmt.Fprintf(&b, "\r%s %s  %d", snap.Phase, snap.App, snap.Completed)
+	if owned > 0 {
+		fmt.Fprintf(&b, "/%d (%.0f%%)", owned, 100*float64(snap.Completed)/float64(owned))
 	}
-	if elapsed > 0 {
-		rate := float64(p.done) / elapsed
-		fmt.Fprintf(&b, "  %.1f/s", rate)
-		if p.total > 0 && rate > 0 && p.done < p.total {
-			eta := time.Duration(float64(p.total-p.done) / rate * float64(time.Second))
+	if snap.ElapsedSeconds > 0 {
+		fmt.Fprintf(&b, "  %.1f/s", snap.RatePerSecond)
+		if snap.ETASeconds > 0 {
+			eta := time.Duration(snap.ETASeconds * float64(time.Second))
 			fmt.Fprintf(&b, "  ETA %s", eta.Round(time.Second))
 		}
 	}
-	if len(p.classes) > 0 {
-		keys := make([]string, 0, len(p.classes))
-		for k := range p.classes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s=%d", k, p.classes[k])
-		}
+	keys := make([]string, 0, len(snap.Outcomes))
+	for k := range snap.Outcomes {
+		keys = append(keys, k)
 	}
-	fmt.Fprintf(&b, "\x1b[K") // clear to end of line
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "  %s=%d", k, snap.Outcomes[k])
+	}
+	b.WriteString("\x1b[K") // clear to end of line
+	if final {
+		b.WriteString("\n")
+		p.last = time.Time{}
+	} else {
+		p.last = now
+	}
 	io.WriteString(p.w, b.String())
 	p.renders++
 }

@@ -12,78 +12,101 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// lineStatus returns a tracker on a fake clock that draws its progress
+// line into b every interval.
+func lineStatus(b *strings.Builder, interval time.Duration) (*CampaignStatus, *Progress, *fakeClock) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	p := NewProgress(b, interval)
+	s := NewCampaignStatus(p)
+	s.SetClock(clk.now)
+	return s, p, clk
+}
+
 func TestProgressThrottling(t *testing.T) {
 	var b strings.Builder
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	p := NewProgress(&b, 100*time.Millisecond)
-	p.SetClock(clk.now)
-	p.Start("inject TEST", 1000)
+	s, p, clk := lineStatus(&b, 100*time.Millisecond)
+	s.Begin("TEST", "LetGo-E", 1000)
+	s.SetPhase("inject")
+	s.Execute(1000)
 
-	// 100 steps within one interval: only the first renders.
+	// Execute opens the line; 100 records within one interval draw
+	// nothing more.
 	for i := 0; i < 100; i++ {
-		p.Step("Benign")
+		s.Record("Benign", false)
 	}
-	if got := p.Renders(); got != 1 {
-		t.Fatalf("renders within one interval = %d, want 1", got)
+	if p.renders != 1 {
+		t.Fatalf("renders within one interval = %d, want 1", p.renders)
 	}
 
 	// Advancing past the interval allows exactly one more render.
 	clk.advance(150 * time.Millisecond)
 	for i := 0; i < 100; i++ {
-		p.Step("Crash")
+		s.Record("Crash", false)
 	}
-	if got := p.Renders(); got != 2 {
-		t.Fatalf("renders after one interval = %d, want 2", got)
+	if p.renders != 2 {
+		t.Fatalf("renders after one interval = %d, want 2", p.renders)
 	}
 
-	p.Finish()
-	if got := p.Renders(); got != 3 {
-		t.Fatalf("renders after Finish = %d, want 3", got)
+	s.Done(false)
+	if p.renders != 3 {
+		t.Fatalf("renders after Done = %d, want 3", p.renders)
 	}
 	out := b.String()
-	if !strings.Contains(out, "inject TEST") || !strings.Contains(out, "200/1000") {
+	if !strings.Contains(out, "inject TEST  200/1000 (20%)") {
 		t.Errorf("final line missing label or totals: %q", out)
 	}
 	if !strings.Contains(out, "Benign=100") || !strings.Contains(out, "Crash=100") {
 		t.Errorf("final line missing class counts: %q", out)
 	}
 	if !strings.HasSuffix(out, "\n") {
-		t.Error("Finish did not terminate the line")
+		t.Error("Done did not terminate the line")
 	}
 
-	// Steps after Finish are ignored.
-	p.Step("Benign")
-	if p.Renders() != 3 {
-		t.Error("inactive progress rendered")
+	// Records after Done draw nothing.
+	clk.advance(time.Second)
+	s.Record("Benign", false)
+	if p.renders != 3 {
+		t.Error("a closed line rendered")
 	}
 }
 
 func TestProgressUnknownTotalAndUpdate(t *testing.T) {
 	var b strings.Builder
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	p := NewProgress(&b, time.Second)
-	p.SetClock(clk.now)
-	p.Start("run prog", 0)
+	s, _, clk := lineStatus(&b, time.Second)
+	s.Begin("prog", "", 0)
+	s.SetPhase("run")
+	s.Execute(0)
 	clk.advance(2 * time.Second)
-	p.Update(1 << 20)
-	p.Finish()
+	s.SetCompleted(1 << 20)
+	s.Done(false)
 	out := b.String()
 	if strings.Contains(out, "%") || strings.Contains(out, "ETA") {
 		t.Errorf("unknown-total line shows percentage or ETA: %q", out)
 	}
-	if !strings.Contains(out, "1048576") {
+	if !strings.Contains(out, "run prog  1048576  524288.0/s") {
 		t.Errorf("absolute update not rendered: %q", out)
 	}
 }
 
+// TestProgressNil: a tracker without a line draws nothing, and a line
+// opens only when work executes — a merge, which restores records
+// without executing any, draws none.
 func TestProgressNil(t *testing.T) {
-	var p *Progress
-	p.SetClock(time.Now)
-	p.Start("x", 1)
-	p.Step("y")
-	p.Update(1)
-	p.Finish()
-	if p.Renders() != 0 {
-		t.Error("nil progress rendered")
+	s := NewCampaignStatus(nil)
+	s.Begin("x", "m", 1)
+	s.Execute(1)
+	s.Record("y", false)
+	s.Done(false)
+
+	var b strings.Builder
+	s, p, _ := lineStatus(&b, time.Second)
+	s.Begin("x", "m", 2)
+	s.SetPhase("merge")
+	s.RecordRestored("Benign", false)
+	s.RecordRestored("SDC", false)
+	s.Done(false)
+	s.Failed()
+	if p.renders != 0 || b.Len() != 0 {
+		t.Errorf("a merge drew %d lines: %q", p.renders, b.String())
 	}
 }

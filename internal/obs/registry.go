@@ -1,13 +1,14 @@
 // Package obs is the observability layer of the reproduction: a
 // dependency-free metrics registry (atomic counters, gauges and
 // fixed-bucket histograms with Prometheus-text and JSON exposition), a
-// structured JSONL event emitter, and a throttled live progress reporter.
+// structured JSONL event emitter, and one live campaign tally that serves
+// /status and draws the throttled progress line.
 //
 // Everything in this package is strictly passive: recording a metric or
 // emitting an event never changes what the instrumented code computes, so
 // campaign and simulation results are identical with observability on or
 // off. All sink types are nil-safe — a nil *Registry, *Counter, *Emitter
-// or *Progress accepts every call as a no-op — which lets the rest of the
+// or *CampaignStatus accepts every call as a no-op — which lets the rest of the
 // stack thread optional instrumentation without branching at call sites.
 package obs
 

@@ -18,7 +18,7 @@ func startTestServer(t *testing.T) (*Server, *obs.Registry, *obs.Fanout, *obs.Ca
 	t.Helper()
 	reg := obs.NewRegistry()
 	fan := obs.NewFanout()
-	status := obs.NewCampaignStatus()
+	status := obs.NewCampaignStatus(nil)
 	srv, err := Start("127.0.0.1:0", Config{Registry: reg, Fanout: fan, Status: status})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestServeConcurrentSubscribers(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				hub.Emit(obs.OutcomeEvent{App: "X", Index: i, Class: "Benign"})
+				hub.Emit(obs.InjectionExecutedEvent{App: "X", Index: i, Class: "Benign"})
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

@@ -17,11 +17,12 @@ type Options struct {
 	// EventsJSON, when non-empty, streams JSONL events to the file
 	// (atomically published on Close).
 	EventsJSON string
-	// Progress renders a throttled live progress line on stderr.
+	// Progress draws the status tracker as a throttled live line on
+	// stderr.
 	Progress bool
 	// Serve, when true, provisions the live observability plane: the
 	// registry is always created, events additionally broadcast through a
-	// Fanout for SSE subscribers, and a CampaignStatus tracker backs the
+	// Fanout for SSE subscribers, and the CampaignStatus tracker backs the
 	// /status endpoint. The HTTP server itself is started by the caller
 	// (internal/obs/serve) over these sinks.
 	Serve bool
@@ -37,17 +38,15 @@ type Options struct {
 // killed mid-write never leaves a truncated -metrics-out or -events-json
 // behind (tail the in-progress stream via the *.tmp* file if needed).
 type Sinks struct {
-	// Hub carries the registry, emitter, status tracker and progress
-	// line; nil when everything is off.
+	// Hub carries the registry, emitter and status tracker; nil when
+	// everything is off.
 	Hub *Hub
-	// Progress renders live progress on stderr; nil unless -progress.
-	// It is the reporter Hub.Progress carries down the stack.
-	Progress *Progress
 	// Fanout broadcasts the event stream to SSE subscribers; nil unless
 	// serving.
 	Fanout *Fanout
-	// Status tracks live campaign state for /status; nil unless serving.
-	// It is the tracker Hub.Status carries down the stack.
+	// Status tracks live campaign state for /status and draws the
+	// -progress line; nil unless serving or -progress. It is the tracker
+	// Hub.Status carries down the stack.
 	Status *CampaignStatus
 
 	metricsPath string
@@ -81,9 +80,15 @@ func Open(o Options) (*Sinks, error) {
 		s.events = f
 		eventsW = f
 	}
+	if o.Serve || o.Progress {
+		var line *Progress
+		if o.Progress {
+			line = NewProgress(os.Stderr, DefaultProgressInterval)
+		}
+		s.Status = NewCampaignStatus(line)
+	}
 	if o.Serve {
 		s.Fanout = NewFanout()
-		s.Status = NewCampaignStatus()
 		if eventsW != nil {
 			eventsW = io.MultiWriter(eventsW, s.Fanout)
 		} else {
@@ -93,11 +98,8 @@ func Open(o Options) (*Sinks, error) {
 	if eventsW != nil {
 		em = NewEmitter(eventsW)
 	}
-	if o.Progress {
-		s.Progress = NewProgress(os.Stderr, DefaultProgressInterval)
-	}
-	if reg != nil || em != nil || s.Progress != nil {
-		s.Hub = &Hub{Reg: reg, Em: em, Status: s.Status, Progress: s.Progress}
+	if reg != nil || em != nil || s.Status != nil {
+		s.Hub = &Hub{Reg: reg, Em: em, Status: s.Status}
 	}
 	return s, nil
 }

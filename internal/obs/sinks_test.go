@@ -80,14 +80,14 @@ func TestSinksAllOff(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Error(err)
 	}
-	// -progress alone yields a hub that carries the progress line down
-	// the stack.
+	// -progress alone yields a hub that carries the status tracker, which
+	// draws the line, down the stack.
 	p, err := Open(Options{Progress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Hub == nil || p.Progress == nil || p.Hub.Progress != p.Progress || p.Hub.Reg != nil || p.Hub.Em != nil {
-		t.Errorf("-progress alone: hub %+v, progress %p", p.Hub, p.Progress)
+	if p.Hub == nil || p.Status == nil || p.Hub.Status != p.Status || p.Status.line == nil || p.Hub.Reg != nil || p.Hub.Em != nil || p.Fanout != nil {
+		t.Errorf("-progress alone: hub %+v, status %p", p.Hub, p.Status)
 	}
 	var nilSinks *Sinks
 	if nilSinks.Close() != nil {

@@ -8,8 +8,8 @@ import (
 
 // StatusSnapshot is the JSON shape served by the observability plane's
 // /status endpoint: a point-in-time view of the running (or last
-// finished) campaign, with the same rate/ETA estimate the throttled
-// progress line renders.
+// finished) campaign. The throttled progress line draws the same
+// snapshot, so both show one rate and one ETA.
 type StatusSnapshot struct {
 	App  string `json:"app,omitempty"`
 	Mode string `json:"mode,omitempty"`
@@ -19,20 +19,25 @@ type StatusSnapshot struct {
 	Phase string `json:"phase,omitempty"`
 	N     int    `json:"n"`
 	// Completed counts classified injections, including journal-restored
-	// and quarantined ones.
+	// and quarantined ones (a supervised run's retired instructions, a
+	// simulation's state transitions, with Outcomes keyed by arm).
 	Completed   int            `json:"completed"`
 	Resumed     int            `json:"resumed"`
 	Quarantined int            `json:"quarantined"`
 	Outcomes    map[string]int `json:"outcomes,omitempty"`
 	// CampaignsDone counts campaigns this invocation has finished (a
 	// multi-app table run is several campaigns in sequence).
-	CampaignsDone  int     `json:"campaigns_done"`
-	Interrupted    bool    `json:"interrupted,omitempty"`
+	CampaignsDone int  `json:"campaigns_done"`
+	Interrupted   bool `json:"interrupted,omitempty"`
+	// ElapsedSeconds runs on the run's clock: from the start of the
+	// executed work (Begin's time until then).
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	RatePerSecond  float64 `json:"rate_per_second"`
-	// ETASeconds estimates the time to finish the current campaign (the
-	// shard's planned injections when ShardPlanned is set) from the
-	// observed rate; 0 when unknown or finished.
+	// RatePerSecond counts this run's own work only: Completed minus
+	// Resumed over ElapsedSeconds, so a resumed campaign reports the
+	// speed it is actually executing at.
+	RatePerSecond float64 `json:"rate_per_second"`
+	// ETASeconds is the work still owned (ShardPlanned, a unit's size or
+	// N, less Completed) over RatePerSecond; 0 when unknown or finished.
 	ETASeconds float64 `json:"eta_seconds"`
 	// CkptModel names the checkpoint cost model in effect (paper or
 	// derived) for simulator runs; empty elsewhere.
@@ -59,14 +64,19 @@ type StatusSnapshot struct {
 	MergeConflictingCollision int `json:"merge_conflicting_collisions,omitempty"`
 }
 
-// CampaignStatus accumulates live campaign state for /status. All methods
-// are safe for concurrent use and nil-safe, so it threads through the
-// stack exactly like the other obs sinks. It is strictly passive.
+// CampaignStatus is the one live tally of a campaign: /status serves its
+// Snapshot, and its progress line, if any, draws the same snapshot. All
+// methods are safe for concurrent use and nil-safe, so it threads
+// through the stack exactly like the other obs sinks. It is strictly
+// passive.
 type CampaignStatus struct {
-	mu            sync.Mutex
-	app, mode     string
-	phase         string
-	n             int
+	mu        sync.Mutex
+	app, mode string
+	phase     string
+	n         int
+	// owned is the work this run owns: N from Begin, or the unit Execute
+	// was given.
+	owned         int
 	completed     int
 	resumed       int
 	quarantined   int
@@ -76,7 +86,6 @@ type CampaignStatus struct {
 	ckptModel     string
 	shardIndex    int
 	shardCount    int
-	shardPlanned  int
 	anRegions     int
 	anLiveRegions int
 	derivedBytes  uint64
@@ -89,12 +98,13 @@ type CampaignStatus struct {
 	mergeConflicting int
 	start            time.Time
 	now              func() time.Time
+	line             *Progress // nil: no progress line
 }
 
 // NewCampaignStatus returns an empty tracker, ready to tally before the
-// first Begin.
-func NewCampaignStatus() *CampaignStatus {
-	return &CampaignStatus{now: time.Now, outcomes: make(map[string]int)}
+// first Begin, that draws its progress on line (nil for none).
+func NewCampaignStatus(line *Progress) *CampaignStatus {
+	return &CampaignStatus{now: time.Now, outcomes: make(map[string]int), line: line}
 }
 
 // SetClock replaces the time source (tests).
@@ -116,12 +126,35 @@ func (s *CampaignStatus) Begin(app, mode string, n int) {
 	defer s.mu.Unlock()
 	s.app, s.mode, s.n = app, mode, n
 	s.phase = ""
-	s.completed, s.resumed, s.quarantined = 0, 0, 0
-	s.outcomes = make(map[string]int)
 	s.interrupted = false
-	s.shardIndex, s.shardCount, s.shardPlanned = 0, 0, 0
+	s.shardIndex, s.shardCount = 0, 0
 	s.anRegions, s.anLiveRegions = 0, 0
 	s.derivedBytes, s.fullBytes = 0, 0
+	s.reset(n)
+}
+
+// Execute starts the work this process executes in the current phase:
+// owned units of it (0 when the total is unknown). The tally and the
+// run's clock restart, so a fabric worker's units are counted one at a
+// time, and the progress line opens with a first draw labelled by the
+// phase and the app.
+func (s *CampaignStatus) Execute(owned int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reset(owned)
+	if s.line != nil {
+		s.line.draw(s.start, s.snapshot(s.start), s.owned, false)
+	}
+}
+
+// reset zeroes the tally and restarts the clock. Callers hold s.mu.
+func (s *CampaignStatus) reset(owned int) {
+	s.owned = owned
+	s.completed, s.resumed, s.quarantined = 0, 0, 0
+	s.outcomes = make(map[string]int)
 	s.start = s.now()
 }
 
@@ -136,13 +169,13 @@ func (s *CampaignStatus) SetCkptModel(model string) {
 }
 
 // SetShard records the work unit this process executes: shard index of
-// count, owning planned injections.
-func (s *CampaignStatus) SetShard(index, count, planned int) {
+// count. The injections it owns are the ones Execute is given.
+func (s *CampaignStatus) SetShard(index, count int) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.shardIndex, s.shardCount, s.shardPlanned = index, count, planned
+	s.shardIndex, s.shardCount = index, count
 	s.mu.Unlock()
 }
 
@@ -181,44 +214,70 @@ func (s *CampaignStatus) SetPhase(phase string) {
 	s.mu.Unlock()
 }
 
-// Record tallies one classified injection.
+// Record tallies one classified injection (one simulator transition,
+// class being its arm).
 func (s *CampaignStatus) Record(class string, quarantined bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.completed++
-	s.outcomes[class]++
-	if quarantined {
-		s.quarantined++
-	}
+	s.record(class, quarantined, false)
 }
 
 // RecordRestored tallies one injection restored from the resume journal:
 // it counts toward Completed, Resumed and the per-class tallies, so a
-// resumed campaign's /status matches the table it will render.
+// resumed campaign's /status matches the table it will render, but not
+// toward the rate, which measures this run's own work.
 func (s *CampaignStatus) RecordRestored(class string, quarantined bool) {
+	s.record(class, quarantined, true)
+}
+
+// record tallies one injection, executed or restored.
+func (s *CampaignStatus) record(class string, quarantined, restored bool) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.completed++
-	s.resumed++
 	s.outcomes[class]++
 	if quarantined {
 		s.quarantined++
 	}
+	if restored {
+		s.resumed++
+	}
+	s.redraw(false)
 }
 
-// Done marks the campaign finished (or interrupted mid-flight).
+// SetCompleted sets the completed count outright (a supervised run's
+// retired instructions).
+func (s *CampaignStatus) SetCompleted(n int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.completed = n
+	s.redraw(false)
+}
+
+// redraw draws the open progress line when its interval has passed, or,
+// when final, ends it. Callers hold s.mu.
+func (s *CampaignStatus) redraw(final bool) {
+	if s.line == nil || s.line.last.IsZero() {
+		return // no line open
+	}
+	if now := s.now(); final || now.Sub(s.line.last) >= s.line.interval {
+		s.line.draw(now, s.snapshot(now), s.owned, final)
+	}
+}
+
+// Done marks the campaign finished (or interrupted mid-flight), ending
+// its progress line.
 func (s *CampaignStatus) Done(interrupted bool) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.redraw(true)
 	s.campaignsDone++
 	s.interrupted = interrupted
 	if interrupted {
@@ -228,14 +287,15 @@ func (s *CampaignStatus) Done(interrupted bool) {
 	}
 }
 
-// Failed marks the campaign aborted.
+// Failed marks the campaign aborted, ending its progress line.
 func (s *CampaignStatus) Failed() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.redraw(true)
 	s.phase = "failed"
-	s.mu.Unlock()
 }
 
 // Snapshot returns the current status. Safe on a nil tracker (zero
@@ -246,6 +306,11 @@ func (s *CampaignStatus) Snapshot() StatusSnapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshot(s.now())
+}
+
+// snapshot is Snapshot at now. Callers hold s.mu.
+func (s *CampaignStatus) snapshot(now time.Time) StatusSnapshot {
 	snap := StatusSnapshot{
 		App: s.app, Mode: s.mode, Phase: s.phase, N: s.n,
 		Completed: s.completed, Resumed: s.resumed, Quarantined: s.quarantined,
@@ -258,7 +323,7 @@ func (s *CampaignStatus) Snapshot() StatusSnapshot {
 	}
 	if s.shardCount > 0 {
 		snap.Shard = fmt.Sprintf("%d/%d", s.shardIndex, s.shardCount)
-		snap.ShardPlanned = s.shardPlanned
+		snap.ShardPlanned = s.owned
 	}
 	if len(s.outcomes) > 0 {
 		snap.Outcomes = make(map[string]int, len(s.outcomes))
@@ -267,17 +332,13 @@ func (s *CampaignStatus) Snapshot() StatusSnapshot {
 		}
 	}
 	if !s.start.IsZero() {
-		snap.ElapsedSeconds = s.now().Sub(s.start).Seconds()
+		snap.ElapsedSeconds = now.Sub(s.start).Seconds()
 	}
 	if snap.ElapsedSeconds > 0 {
-		snap.RatePerSecond = float64(s.completed) / snap.ElapsedSeconds
+		snap.RatePerSecond = float64(s.completed-s.resumed) / snap.ElapsedSeconds
 	}
-	owned := s.n
-	if s.shardPlanned > 0 {
-		owned = s.shardPlanned // a shard owns only its planned injections
-	}
-	if snap.RatePerSecond > 0 && owned > 0 && s.completed < owned && s.phase != "done" && s.phase != "failed" {
-		snap.ETASeconds = float64(owned-s.completed) / snap.RatePerSecond
+	if snap.RatePerSecond > 0 && s.completed < s.owned && s.phase != "done" && s.phase != "failed" {
+		snap.ETASeconds = float64(s.owned-s.completed) / snap.RatePerSecond
 	}
 	return snap
 }

@@ -1,12 +1,13 @@
 package obs
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
 func TestCampaignStatusLifecycle(t *testing.T) {
-	s := NewCampaignStatus()
+	s := NewCampaignStatus(nil)
 	clock := time.Unix(1700000000, 0)
 	s.SetClock(func() time.Time { return clock })
 
@@ -33,11 +34,13 @@ func TestCampaignStatusLifecycle(t *testing.T) {
 	if snap.ElapsedSeconds != 10 {
 		t.Errorf("elapsed = %v, want 10", snap.ElapsedSeconds)
 	}
-	if snap.RatePerSecond != 2 {
-		t.Errorf("rate = %v, want 2", snap.RatePerSecond)
+	// The rate counts this run's own work: 19 executed in 10 s; the
+	// restored SDC is done but was not executed here.
+	if snap.RatePerSecond != 1.9 {
+		t.Errorf("rate = %v, want 1.9", snap.RatePerSecond)
 	}
-	if snap.ETASeconds != 40 { // 80 remaining at 2/s
-		t.Errorf("eta = %v, want 40", snap.ETASeconds)
+	if eta := 80 / 1.9; math.Abs(snap.ETASeconds-eta) > 1e-9 { // 80 remaining at 1.9/s
+		t.Errorf("eta = %v, want %v", snap.ETASeconds, eta)
 	}
 
 	s.Done(false)
@@ -63,15 +66,19 @@ func TestCampaignStatusLifecycle(t *testing.T) {
 // TestCampaignStatusShardETA: a shard owns only its planned injections,
 // so the ETA counts down from shard_planned, not from N.
 func TestCampaignStatusShardETA(t *testing.T) {
-	s := NewCampaignStatus()
+	s := NewCampaignStatus(nil)
 	clock := time.Unix(1700000000, 0)
 	s.SetClock(func() time.Time { return clock })
 	s.Begin("CLAMR", "LetGo-E", 60)
-	s.SetShard(1, 3, 20)
+	s.SetShard(1, 3)
 	s.SetPhase("inject")
+	s.Execute(20)
 	clock = clock.Add(10 * time.Second)
 	for i := 0; i < 10; i++ {
 		s.Record("Benign", false)
+	}
+	if snap := s.Snapshot(); snap.Shard != "1/3" || snap.ShardPlanned != 20 {
+		t.Errorf("shard %q planned %d, want 1/3 planned 20", snap.Shard, snap.ShardPlanned)
 	}
 	if snap := s.Snapshot(); snap.RatePerSecond != 1 || snap.ETASeconds != 10 {
 		t.Errorf("rate %v eta %v, want 1/s and 10 s (10 of 20 owned left)", snap.RatePerSecond, snap.ETASeconds)
@@ -89,7 +96,9 @@ func TestCampaignStatusNilSafe(t *testing.T) {
 	s.SetClock(time.Now)
 	s.Begin("X", "off", 1)
 	s.SetPhase("inject")
+	s.Execute(1)
 	s.Record("Benign", false)
+	s.SetCompleted(2)
 	s.RecordRestored("SDC", true)
 	s.Done(false)
 	s.Failed()
