@@ -80,25 +80,17 @@ const (
 	PhaseInject  = "inject"
 )
 
-// Execution is the per-injection observation delivered to an Observer.
+// Execution is one classified injection: its journal record and the
+// campaign lane that ran it. The record is what the journal appends and a
+// fabric worker ships; the whole value is what an Observer receives and
+// the injection_executed event carries. A journal-restored injection has
+// Worker 0.
 type Execution struct {
-	Index  int // plan index in [0, N)
-	Worker int // worker that ran the injection
-	Class  outcome.Class
-	Signal vm.Signal
-	// DestLive says whether the fault's destination register was
-	// statically live at the injection site.
-	DestLive bool
-	// RepairSafe says whether the injection site sits in a repair-safe
-	// region: corruption of its destination register provably cannot
-	// reach the app's acceptance check (always false when the app
-	// declares no acceptance globals).
-	RepairSafe bool
-	Retired    uint64 // instructions the injected run retired
-	// Latency is the injection-to-crash distance (valid when HasLatency).
-	Latency    uint64
-	HasLatency bool
+	resilience.Record
+	Worker int `json:"worker"`
 }
+
+func (Execution) EventType() string { return "injection_executed" }
 
 // Observer is a passive in-process hook on the campaign lifecycle: phase
 // boundaries, each sampled plan, each classified injection, and the
@@ -219,9 +211,6 @@ type Result struct {
 	Counts        outcome.Counts
 	Metrics       outcome.Metrics
 	GoldenRetired uint64
-	// Signals histograms the first crash-causing signal of the crashed or
-	// repaired runs.
-	Signals map[vm.Signal]int
 	// PCrash is the crash-branch fraction among all injections — the
 	// paper's "56% of faults lead to crashes" statistic and the model's
 	// P_crash input.

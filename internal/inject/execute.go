@@ -125,7 +125,6 @@ func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []Execu
 		Mode:          c.Mode,
 		N:             c.N,
 		GoldenRetired: p.GoldenRetired,
-		Signals:       map[vm.Signal]int{},
 		EngineStats:   estats,
 		Shard:         unit.Spec.String(),
 		Planned:       unit.Size(),
@@ -143,21 +142,19 @@ func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []Execu
 		if !completed[i] {
 			continue
 		}
-		res.Counts.Add(r.Class)
+		class := r.class()
+		res.Counts.Add(class)
 		if r.DestLive {
-			res.LiveDest.Add(r.Class)
+			res.LiveDest.Add(class)
 		} else {
-			res.DeadDest.Add(r.Class)
+			res.DeadDest.Add(class)
 		}
 		if p.stateSet != nil {
 			if r.RepairSafe {
-				res.SafeSite.Add(r.Class)
+				res.SafeSite.Add(class)
 			} else {
-				res.UnsafeSite.Add(r.Class)
+				res.UnsafeSite.Add(class)
 			}
-		}
-		if r.Class.CrashBranch() && r.Signal != vm.SIGNONE {
-			res.Signals[r.Signal]++
 		}
 		if r.HasLatency {
 			res.CrashLatencies = append(res.CrashLatencies, r.Latency)
@@ -175,7 +172,9 @@ func (c *Campaign) aggregate(p *PlannedCampaign, unit *WorkUnit, results []Execu
 }
 
 // restore fills results with the unit's journaled injections and returns
-// how many were restored. Journaled records outside the unit are ignored.
+// how many were restored. Journaled records outside the unit are ignored;
+// one inside it that names a class or signal this program does not know
+// is refused before anything executes.
 func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Execution, completed []bool) (int, error) {
 	if j == nil {
 		return 0, nil
@@ -186,19 +185,19 @@ func (c *Campaign) restore(j *resilience.Journal, unit *WorkUnit, results []Exec
 		if !unit.Has(i) {
 			continue
 		}
-		r, err := resultFromRecord(rec)
+		class, err := checkRecord(rec)
 		if err != nil {
 			return 0, fmt.Errorf("inject: journal %s index %d: %w", j.Path(), i, err)
 		}
-		results[i] = r
+		results[i] = Execution{Record: rec}
 		completed[i] = true
 		resumed++
 		if c.Obs != nil {
 			// Keep the engine-independent class tally and the live
 			// tally aligned with the table a resumed campaign will
 			// render.
-			c.Obs.Counter("letgo_outcomes_total", "class", r.Class.String()).Inc()
-			c.Obs.Status.RecordRestored(r.Class.String(), r.Class.Quarantined())
+			c.Obs.Counter("letgo_outcomes_total", "class", rec.Class).Inc()
+			c.Obs.Status.RecordRestored(rec.Class, class.Quarantined())
 		}
 	}
 	if resumed > 0 && c.Obs != nil {
@@ -358,14 +357,14 @@ func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, 
 					return
 				}
 				if quar != "" {
-					out = laneStep{r: c.quarantine(i, quar, stack)}
+					out = laneStep{r: c.quarantine(p, quar, stack)}
 				}
 				cur, curDbg = out.cur, out.dbg
 				st.add(out.work)
 				out.r.Index, out.r.Worker = i, w
 				results[i] = out.r
 				completed[i] = true
-				c.finish(out.r, quar, stack)
+				c.finish(out.r)
 			}
 			if cur != nil {
 				st.PagesCopied += cur.Mem.CopiedPages()
@@ -384,9 +383,9 @@ func (c *Campaign) runLanes(ctx context.Context, p *PlannedCampaign, idx []int, 
 	return nil
 }
 
-// quarantine converts a harness fault on injection i into its quarantine
-// outcome class and records it in the obs sinks.
-func (c *Campaign) quarantine(i int, reason, stack string) Execution {
+// quarantine converts a harness fault into its quarantine record and
+// counts it in the obs sinks.
+func (c *Campaign) quarantine(p *PlannedCampaign, reason, stack string) Execution {
 	class := outcome.CHang
 	if reason == quarPanic {
 		class = outcome.HarnessFault
@@ -396,9 +395,8 @@ func (c *Campaign) quarantine(i int, reason, stack string) Execution {
 		if reason == quarWatchdog {
 			c.Obs.Counter("letgo_watchdog_timeouts_total").Inc()
 		}
-		c.Obs.Emit(obs.QuarantineEvent{App: c.App.Name, Index: i, Reason: reason, Stack: stack})
 	}
-	return Execution{Class: class}
+	return Execution{Record: resilience.Record{Key: p.Key, Class: class.String(), Quarantine: reason, Stack: stack}}
 }
 
 // latencyBuckets spans the observed crash-latency range: the paper's
@@ -406,19 +404,18 @@ func (c *Campaign) quarantine(i int, reason, stack string) Execution {
 var latencyBuckets = obs.ExpBuckets(1, 4, 12)
 
 // finish journals and reports one classified injection.
-func (c *Campaign) finish(e Execution, quar, stack string) {
-	class := e.Class.String()
+func (c *Campaign) finish(e Execution) {
 	// Engine-independent per-class tally: both engines route every
 	// classified injection through here, so /metrics agrees with the
 	// rendered table.
 	if c.Obs != nil {
-		c.Obs.Counter("letgo_outcomes_total", "class", class).Inc()
+		c.Obs.Counter("letgo_outcomes_total", "class", e.Class).Inc()
 	}
 	if c.Journal != nil {
 		// Append errors are not fatal mid-campaign: the record stays in
 		// memory and the terminal Flush (whose error does surface)
 		// retries the write.
-		c.Journal.Append(c.record(e, quar, stack))
+		c.Journal.Append(e.Record)
 		if c.Obs != nil {
 			c.Obs.Counter("letgo_resume_journaled_total").Inc()
 		}
@@ -429,22 +426,13 @@ func (c *Campaign) finish(e Execution, quar, stack string) {
 	if c.Obs == nil {
 		return
 	}
-	app := c.App.Name
-	sig := ""
-	if e.Signal != vm.SIGNONE {
-		sig = e.Signal.String()
-	}
-	c.Obs.Emit(obs.InjectionExecutedEvent{
-		App: app, Index: e.Index, Worker: e.Worker, Class: class, Signal: sig,
-		Retired: e.Retired, CrashLatency: e.Latency, HasLatency: e.HasLatency,
-		RepairSafe: e.RepairSafe,
-	})
-	c.Obs.Counter("letgo_injections_total", "app", app, "class", class).Inc()
+	c.Obs.Emit(e)
+	c.Obs.Counter("letgo_injections_total", "app", c.App.Name, "class", e.Class).Inc()
 	c.Obs.Counter("letgo_worker_injections_total", "worker", workerLabel(e.Worker)).Inc()
 	if e.HasLatency {
 		c.Obs.Histogram("letgo_crash_latency_instructions", latencyBuckets).Observe(float64(e.Latency))
 	}
-	c.Obs.Status.Record(class, e.Class.Quarantined())
+	c.Obs.Status.Record(e.Class, e.class().Quarantined())
 }
 
 // workerLabel formats a worker index as a metric label.
@@ -455,50 +443,27 @@ func workerLabel(w int) string {
 	return strconv.Itoa(w)
 }
 
-// record converts one classified injection into its journal form.
-func (c *Campaign) record(e Execution, quar, stack string) resilience.Record {
-	sig := ""
-	if e.Signal != vm.SIGNONE {
-		sig = e.Signal.String()
-	}
-	return resilience.Record{
-		Key: c.journalKey(), Index: e.Index, Class: e.Class.String(), Signal: sig,
-		DestLive: e.DestLive, RepairSafe: e.RepairSafe,
-		Latency: e.Latency, HasLatency: e.HasLatency,
-		Retired: e.Retired, Quarantine: quar, Stack: stack,
-	}
+// class is e's outcome class. Every Execution names a known one: classify
+// and quarantine build theirs from an outcome.Class, and restore refuses
+// a journal record that does not.
+func (e *Execution) class() outcome.Class {
+	class, _ := outcome.ParseClass(e.Class)
+	return class
 }
 
-// resultFromRecord inverts record (the journal does not say which worker
-// ran the injection).
-func resultFromRecord(rec resilience.Record) (Execution, error) {
+// checkRecord returns a journal record's class, or an error when the
+// record names a class or signal this program does not know.
+func checkRecord(rec resilience.Record) (outcome.Class, error) {
 	class, err := outcome.ParseClass(rec.Class)
-	if err != nil {
-		return Execution{}, err
+	if err != nil || rec.Signal == "" {
+		return class, err
 	}
-	sig, err := parseSignal(rec.Signal)
-	if err != nil {
-		return Execution{}, err
-	}
-	return Execution{
-		Index: rec.Index, Class: class, Signal: sig,
-		DestLive: rec.DestLive, RepairSafe: rec.RepairSafe,
-		Latency: rec.Latency, HasLatency: rec.HasLatency, Retired: rec.Retired,
-	}, nil
-}
-
-// parseSignal inverts vm.Signal.String for journal records ("" means
-// SIGNONE, which the journal omits).
-func parseSignal(s string) (vm.Signal, error) {
 	for _, sig := range []vm.Signal{vm.SIGNONE, vm.SIGSEGV, vm.SIGBUS, vm.SIGABRT, vm.SIGFPE} {
-		if s == sig.String() {
-			return sig, nil
+		if rec.Signal == sig.String() {
+			return class, nil
 		}
 	}
-	if s == "" {
-		return vm.SIGNONE, nil
-	}
-	return vm.SIGNONE, fmt.Errorf("inject: unknown signal %q", s)
+	return 0, fmt.Errorf("inject: unknown signal %q", rec.Signal)
 }
 
 // one executes and classifies a single injection on the rerun engine.
@@ -545,17 +510,19 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (Execution, erro
 		}
 	}
 	ro.Machine = nil
-	repairSafe := false
-	if p.stateSet != nil {
-		repairSafe, _ = p.stateSet.RepairSafeAt(ro.Plan.Site.Addr)
-	}
-	return Execution{
-		Class:      outcome.Classify(rec),
-		Signal:     sig,
+	e := Execution{Record: resilience.Record{
+		Key:        p.Key,
+		Class:      outcome.Classify(rec).String(),
 		DestLive:   ro.DestLive,
-		RepairSafe: repairSafe,
 		Latency:    ro.CrashLatency,
 		HasLatency: ro.HasLatency,
 		Retired:    ro.Retired,
-	}, nil
+	}}
+	if sig != vm.SIGNONE {
+		e.Signal = sig.String()
+	}
+	if p.stateSet != nil {
+		e.RepairSafe, _ = p.stateSet.RepairSafeAt(ro.Plan.Site.Addr)
+	}
+	return e, nil
 }

@@ -19,11 +19,11 @@ import (
 	"github.com/letgo-hpc/letgo/internal/resilience"
 )
 
-// quarantineEvents parses an event stream and returns its quarantine
-// payloads.
-func quarantineEvents(t *testing.T, events *bytes.Buffer) []obs.QuarantineEvent {
+// quarantineEvents parses an event stream and returns its quarantined
+// injection_executed payloads.
+func quarantineEvents(t *testing.T, events *bytes.Buffer) []Execution {
 	t.Helper()
-	var out []obs.QuarantineEvent
+	var out []Execution
 	sc := bufio.NewScanner(events)
 	sc.Buffer(make([]byte, 1<<20), 1<<20) // quarantine stacks are long lines
 	for sc.Scan() {
@@ -34,14 +34,16 @@ func quarantineEvents(t *testing.T, events *bytes.Buffer) []obs.QuarantineEvent 
 		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
 			t.Fatalf("bad event line: %v", err)
 		}
-		if env.Type != "quarantine" {
+		if env.Type != "injection_executed" {
 			continue
 		}
-		var q obs.QuarantineEvent
-		if err := json.Unmarshal(env.Ev, &q); err != nil {
+		var e Execution
+		if err := json.Unmarshal(env.Ev, &e); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, q)
+		if e.Quarantine != "" {
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -134,7 +136,7 @@ func TestCampaignPanicQuarantineAndResume(t *testing.T) {
 				t.Errorf("letgo_quarantine_total{reason=panic} = %d, want 1", v)
 			}
 			qs := quarantineEvents(t, &events)
-			if len(qs) != 1 || qs[0].Index != 7 || qs[0].Reason != "panic" {
+			if len(qs) != 1 || qs[0].Index != 7 || qs[0].Quarantine != "panic" || qs[0].Class != "C-HarnessFault" {
 				t.Fatalf("quarantine events = %+v", qs)
 			}
 			if !strings.Contains(qs[0].Stack, "synthetic persistent harness fault") {
@@ -222,5 +224,75 @@ func TestSuperviseErrorsPassThrough(t *testing.T) {
 	})
 	if calls != 1 || reason != "" || err != errTestAccept {
 		t.Errorf("supervise(error body): calls=%d reason=%q err=%v", calls, reason, err)
+	}
+}
+
+// TestOneRecordReachesEverySink: every executed injection, quarantined
+// ones included, reaches the journal, the Observer and the
+// injection_executed event as one record, equal field for field except
+// for the lane that ran it (Worker) and the journal's writer identity
+// (Writer, "1/2" on this shard's journal lines).
+func TestOneRecordReachesEverySink(t *testing.T) {
+	a := testApp(t)
+	j := resilience.New()
+	log := &executionLog{byIx: map[int]Execution{}}
+	var events bytes.Buffer
+	c := &Campaign{
+		App: a, Mode: LetGoE, N: 24, Seed: 5, Workers: 2, ShardSpec: ShardSpec{Index: 1, Count: 2},
+		Journal: j, Observer: log, Obs: &obs.Hub{Em: obs.NewEmitter(&events)},
+	}
+	// The first injection to start panics on every attempt, so one record
+	// carries a quarantine reason and a stack.
+	var victim atomic.Int64 // 1 + its plan index
+	c.beforeInjection = func(i int) {
+		victim.CompareAndSwap(0, int64(i)+1)
+		if victim.Load() == int64(i)+1 {
+			panic("synthetic persistent harness fault")
+		}
+	}
+	r, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	journaled := map[int]resilience.Record{}
+	for _, rec := range j.Records() {
+		rec.Writer = ""
+		journaled[rec.Index] = rec
+	}
+	emitted := map[int]resilience.Record{}
+	sc := bufio.NewScanner(&events)
+	sc.Buffer(make([]byte, 1<<20), 1<<20) // quarantine stacks are long lines
+	for sc.Scan() {
+		var env struct {
+			Type string    `json:"type"`
+			Ev   Execution `json:"event"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+			t.Fatalf("bad event line: %v", err)
+		}
+		if env.Type != "injection_executed" {
+			continue
+		}
+		if _, dup := emitted[env.Ev.Index]; dup {
+			t.Errorf("index %d has two injection_executed events", env.Ev.Index)
+		}
+		emitted[env.Ev.Index] = env.Ev.Record
+	}
+	if len(log.byIx) != r.Planned || len(journaled) != r.Planned || len(emitted) != r.Planned {
+		t.Fatalf("observer %d, journal %d, events %d executions; the shard owns %d",
+			len(log.byIx), len(journaled), len(emitted), r.Planned)
+	}
+	quarantined := 0
+	for i, e := range log.byIx {
+		if journaled[i] != e.Record || emitted[i] != e.Record {
+			t.Errorf("index %d:\nobserver %+v\njournal  %+v\nevent    %+v", i, e.Record, journaled[i], emitted[i])
+		}
+		if e.Quarantine == quarPanic && strings.Contains(e.Stack, "synthetic persistent harness fault") {
+			quarantined++
+		}
+	}
+	if quarantined != 1 {
+		t.Errorf("%d quarantined records with a stack, want 1", quarantined)
 	}
 }

@@ -9,8 +9,12 @@ package inject_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -178,5 +182,83 @@ func TestInterruptedResultRendersPartialTable(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("empty partial table")
+	}
+}
+
+// TestCorruptJournalRecordRefused: a journal line naming a class or a
+// signal this program does not know is refused, both on resume (before
+// any injection executes) and on merge, with the journal's path and the
+// record's index in the error.
+func TestCorruptJournalRecordRefused(t *testing.T) {
+	app, ok := apps.ByName("CLAMR")
+	if !ok {
+		t.Fatal("no app CLAMR")
+	}
+	const n, bad = 8, 3
+	c := inject.Campaign{App: app, Mode: inject.LetGoE, N: n, Seed: 11, Workers: 1}
+	clean := filepath.Join(t.TempDir(), "clean.jsonl")
+	j, err := resilience.Create(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := c
+	run.Journal = j
+	if _, err := run.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, corrupt := range []func(*resilience.Record){
+		func(r *resilience.Record) { r.Class = "Sideways" },
+		func(r *resilience.Record) { r.Signal = "SIGWTF" },
+	} {
+		var out []byte
+		for _, line := range bytes.SplitAfter(lines, []byte("\n")) {
+			if len(line) == 0 {
+				continue // after the last newline
+			}
+			var rec resilience.Record
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("clean journal line %q does not parse", line)
+			}
+			if rec.Index == bad {
+				corrupt(&rec)
+				b, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				line = append(b, '\n')
+			}
+			out = append(out, line...)
+		}
+		path := filepath.Join(t.TempDir(), "corrupt.jsonl")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("journal %s index %d", path, bad)
+
+		j, err := resilience.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed := &cancelAfter{}
+		resume := c
+		resume.Journal, resume.Observer = j, executed
+		if _, err := resume.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("resume over %q: err %v, want one naming %q", out, err, want)
+		}
+		if got := executed.count.Load(); got != 0 {
+			t.Errorf("resume over a corrupt journal executed %d injections, want 0", got)
+		}
+
+		if j, err = resilience.Open(path); err != nil {
+			t.Fatal(err)
+		}
+		merge := c
+		if _, err := merge.Merge(j); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("merge: err %v, want one naming %q", err, want)
+		}
 	}
 }

@@ -34,23 +34,6 @@ type InjectionPlannedEvent struct {
 
 func (InjectionPlannedEvent) EventType() string { return "injection_planned" }
 
-// InjectionExecutedEvent records the raw end state of one injected run.
-type InjectionExecutedEvent struct {
-	App          string `json:"app,omitempty"`
-	Index        int    `json:"index"`
-	Worker       int    `json:"worker"`
-	Class        string `json:"class"`
-	Signal       string `json:"signal,omitempty"`
-	Retired      uint64 `json:"retired"`
-	CrashLatency uint64 `json:"crash_latency,omitempty"`
-	HasLatency   bool   `json:"has_latency,omitempty"`
-	// RepairSafe marks injections whose site the memory-dependency
-	// analysis certified repair-safe; always false without analysis.
-	RepairSafe bool `json:"repair_safe,omitempty"`
-}
-
-func (InjectionExecutedEvent) EventType() string { return "injection_executed" }
-
 // SignalEvent records a crash-causing signal observed by LetGo's monitor.
 type SignalEvent struct {
 	Signal      string `json:"signal"`
@@ -103,18 +86,6 @@ type CampaignFailedEvent struct {
 }
 
 func (CampaignFailedEvent) EventType() string { return "campaign_failed" }
-
-// QuarantineEvent records the supervisor giving up on one injection — a
-// per-injection watchdog timeout or a twice-panicking worker — without
-// killing the campaign.
-type QuarantineEvent struct {
-	App    string `json:"app,omitempty"`
-	Index  int    `json:"index"`
-	Reason string `json:"reason"` // watchdog | panic
-	Stack  string `json:"stack,omitempty"`
-}
-
-func (QuarantineEvent) EventType() string { return "quarantine" }
 
 // ResumeEvent records journal-driven resume bookkeeping at the start of
 // a campaign's injection phase.

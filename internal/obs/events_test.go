@@ -14,7 +14,7 @@ func TestEmitterGoldenJSONL(t *testing.T) {
 	e.Emit(InjectionPlannedEvent{App: "LULESH", Index: 0, Addr: 0x1000, Instance: 7, Mask: 1 << 45})
 	e.Emit(SignalEvent{Signal: "SIGSEGV", PC: 0x1010, Retired: 123, Intercepted: true})
 	e.Emit(HeuristicEvent{Heuristic: "h1_int_fill", PC: 0x1010, NewPC: 0x1011})
-	e.Emit(InjectionExecutedEvent{App: "LULESH", Index: 0, Worker: 1, Class: "C-Benign", Retired: 4242, CrashLatency: 9, HasLatency: true})
+	e.Emit(CampaignDoneEvent{App: "LULESH", N: 10, Completed: 4, Interrupted: true})
 	e.Emit(SimTransitionEvent{Arm: "letgo", From: "COMP", To: "LETGO", Cost: 12.5, Useful: 10})
 	e.Emit(GiveUpEvent{Reason: "repair_budget", Signal: "SIGBUS", PC: 0x2000})
 	if err := e.Err(); err != nil {
@@ -24,7 +24,7 @@ func TestEmitterGoldenJSONL(t *testing.T) {
 {"seq":2,"type":"injection_planned","event":{"app":"LULESH","index":0,"addr":4096,"instance":7,"mask":35184372088832}}
 {"seq":3,"type":"signal","event":{"signal":"SIGSEGV","pc":4112,"retired":123,"intercepted":true}}
 {"seq":4,"type":"heuristic","event":{"heuristic":"h1_int_fill","pc":4112,"new_pc":4113}}
-{"seq":5,"type":"injection_executed","event":{"app":"LULESH","index":0,"worker":1,"class":"C-Benign","retired":4242,"crash_latency":9,"has_latency":true}}
+{"seq":5,"type":"campaign_done","event":{"app":"LULESH","n":10,"completed":4,"interrupted":true}}
 {"seq":6,"type":"sim_transition","event":{"arm":"letgo","from":"COMP","to":"LETGO","cost":12.5,"useful":10}}
 {"seq":7,"type":"giveup","event":{"reason":"repair_budget","signal":"SIGBUS","pc":8192}}
 `

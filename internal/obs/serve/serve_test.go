@@ -194,7 +194,7 @@ func TestServeConcurrentSubscribers(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				hub.Emit(obs.InjectionExecutedEvent{App: "X", Index: i, Class: "Benign"})
+				hub.Emit(obs.InjectionPlannedEvent{App: "X", Index: i})
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

@@ -64,18 +64,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class?%d", c)
 }
 
-// Continued reports whether the class is one of the C-* leaves (the run
-// survived a crash thanks to LetGo).
-func (c Class) Continued() bool {
-	return c == CBenign || c == CSDC || c == CDetected
-}
-
-// CrashBranch reports whether the fault originally crashed the program
-// (every class under the Figure-4 "Crash" subtree).
-func (c Class) CrashBranch() bool {
-	return c == Crash || c == DoubleCrash || c.Continued()
-}
-
 // Quarantined reports whether the class was assigned by the campaign
 // supervisor rather than observed from the program (watchdog timeout or
 // worker panic).

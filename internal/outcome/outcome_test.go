@@ -30,21 +30,6 @@ func TestClassifyLeaves(t *testing.T) {
 }
 
 func TestClassPredicates(t *testing.T) {
-	for _, c := range []Class{CBenign, CSDC, CDetected} {
-		if !c.Continued() || !c.CrashBranch() {
-			t.Errorf("%v should be continued and crash-branch", c)
-		}
-	}
-	for _, c := range []Class{Crash, DoubleCrash} {
-		if c.Continued() || !c.CrashBranch() {
-			t.Errorf("%v predicates wrong", c)
-		}
-	}
-	for _, c := range []Class{Benign, SDC, Detected, Hang, CHang, HarnessFault} {
-		if c.Continued() || c.CrashBranch() {
-			t.Errorf("%v predicates wrong", c)
-		}
-	}
 	for c := Class(0); c < NumClasses; c++ {
 		want := c == CHang || c == HarnessFault
 		if c.Quarantined() != want {
