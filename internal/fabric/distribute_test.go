@@ -290,6 +290,40 @@ func TestDistributionTelemetry(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsCampaignsOnce: a fabric worker's /status counts one
+// coordinated campaign as one, not once per unit it executed (4 here).
+func TestWorkerCountsCampaignsOnce(t *testing.T) {
+	app, ok := apps.ByName("CLAMR")
+	if !ok {
+		t.Fatal("no app CLAMR")
+	}
+	const n = 40
+	fleet, err := Distribution{Coordinate: "127.0.0.1:0", Options: Options{UnitSize: 10}}.Open(resilience.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	status := obs.NewCampaignStatus(nil)
+	wk := &Worker{Base: "http://" + fleet.Addr(), Name: "w1", Workers: 1, Hub: &obs.Hub{Status: status}}
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- wk.Run(ctx) }()
+	r, err := fleet.Run(ctx, &inject.Campaign{App: app, Mode: inject.LetGoE, N: n, Seed: 4321, Workers: 1})
+	fleet.Close()
+	if werr := <-workerErr; werr != nil {
+		t.Errorf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed != n {
+		t.Fatalf("coordinated campaign completed %d of %d", r.Completed, n)
+	}
+	if snap := status.Snapshot(); snap.CampaignsDone != 1 {
+		t.Errorf("worker campaigns_done = %d after one campaign in %d units, want 1", snap.CampaignsDone, n/10)
+	}
+}
+
 // TestPrepareOncePerCampaign: every setting compiles, analyses and runs
 // the golden execution of a campaign once per process. The campaign's own
 // event stream holds exactly one golden phase on the local run, on each

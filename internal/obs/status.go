@@ -26,18 +26,21 @@ type StatusSnapshot struct {
 	Quarantined int            `json:"quarantined"`
 	Outcomes    map[string]int `json:"outcomes,omitempty"`
 	// CampaignsDone counts campaigns this invocation has finished (a
-	// multi-app table run is several campaigns in sequence).
+	// multi-app table run is several campaigns in sequence), each once
+	// however many work units it ran in.
 	CampaignsDone int  `json:"campaigns_done"`
 	Interrupted   bool `json:"interrupted,omitempty"`
 	// ElapsedSeconds runs on the run's clock: from the start of the
-	// executed work (Begin's time until then).
+	// executed work (Begin's time until then) to now, or to the end once
+	// the campaign is done, interrupted or failed.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// RatePerSecond counts this run's own work only: Completed minus
 	// Resumed over ElapsedSeconds, so a resumed campaign reports the
 	// speed it is actually executing at.
 	RatePerSecond float64 `json:"rate_per_second"`
 	// ETASeconds is the work still owned (ShardPlanned, a unit's size or
-	// N, less Completed) over RatePerSecond; 0 when unknown or finished.
+	// N, less Completed) over RatePerSecond; 0 when unknown or once
+	// nothing executes.
 	ETASeconds float64 `json:"eta_seconds"`
 	// CkptModel names the checkpoint cost model in effect (paper or
 	// derived) for simulator runs; empty elsewhere.
@@ -82,6 +85,9 @@ type CampaignStatus struct {
 	quarantined   int
 	outcomes      map[string]int
 	campaignsDone int
+	// counted says the current campaign is in campaignsDone already: a
+	// fabric worker ends one Done per unit it executes.
+	counted       bool
 	interrupted   bool
 	ckptModel     string
 	shardIndex    int
@@ -96,9 +102,12 @@ type CampaignStatus struct {
 	mergeJournals    int
 	mergeIdentical   int
 	mergeConflicting int
-	start            time.Time
-	now              func() time.Time
-	line             *Progress // nil: no progress line
+	// start and end bound the run's clock; end is zero while work
+	// executes.
+	start time.Time
+	end   time.Time
+	now   func() time.Time
+	line  *Progress // nil: no progress line
 }
 
 // NewCampaignStatus returns an empty tracker, ready to tally before the
@@ -126,7 +135,7 @@ func (s *CampaignStatus) Begin(app, mode string, n int) {
 	defer s.mu.Unlock()
 	s.app, s.mode, s.n = app, mode, n
 	s.phase = ""
-	s.interrupted = false
+	s.counted, s.interrupted = false, false
 	s.shardIndex, s.shardCount = 0, 0
 	s.anRegions, s.anLiveRegions = 0, 0
 	s.derivedBytes, s.fullBytes = 0, 0
@@ -155,7 +164,7 @@ func (s *CampaignStatus) reset(owned int) {
 	s.owned = owned
 	s.completed, s.resumed, s.quarantined = 0, 0, 0
 	s.outcomes = make(map[string]int)
-	s.start = s.now()
+	s.start, s.end = s.now(), time.Time{}
 }
 
 // SetCkptModel records the checkpoint cost model in effect (sim runs).
@@ -277,8 +286,12 @@ func (s *CampaignStatus) Done(interrupted bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.end = s.now()
 	s.redraw(true)
-	s.campaignsDone++
+	if !s.counted {
+		s.campaignsDone++
+		s.counted = true
+	}
 	s.interrupted = interrupted
 	if interrupted {
 		s.phase = "interrupted"
@@ -294,6 +307,7 @@ func (s *CampaignStatus) Failed() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.end = s.now()
 	s.redraw(true)
 	s.phase = "failed"
 }
@@ -331,13 +345,16 @@ func (s *CampaignStatus) snapshot(now time.Time) StatusSnapshot {
 			snap.Outcomes[k] = v
 		}
 	}
+	if !s.end.IsZero() {
+		now = s.end
+	}
 	if !s.start.IsZero() {
 		snap.ElapsedSeconds = now.Sub(s.start).Seconds()
 	}
 	if snap.ElapsedSeconds > 0 {
 		snap.RatePerSecond = float64(s.completed-s.resumed) / snap.ElapsedSeconds
 	}
-	if snap.RatePerSecond > 0 && s.completed < s.owned && s.phase != "done" && s.phase != "failed" {
+	if snap.RatePerSecond > 0 && s.completed < s.owned && s.end.IsZero() {
 		snap.ETASeconds = float64(s.owned-s.completed) / snap.RatePerSecond
 	}
 	return snap

@@ -63,6 +63,39 @@ func TestCampaignStatusLifecycle(t *testing.T) {
 	}
 }
 
+// TestCampaignStatusClockStopsAtEnd: a campaign's clock stops when it is
+// done, interrupted or failed. Interrupted at 20 of 100 after 10 s, it
+// reads elapsed 10 s, 2/s and no ETA a minute later, not 70 s, 0.29/s
+// and 280 s.
+func TestCampaignStatusClockStopsAtEnd(t *testing.T) {
+	for _, end := range []string{"done", "interrupted", "failed"} {
+		s := NewCampaignStatus(nil)
+		clock := time.Unix(1700000000, 0)
+		s.SetClock(func() time.Time { return clock })
+		s.Begin("CLAMR", "LetGo-E", 100)
+		s.SetPhase("inject")
+		s.Execute(100)
+		clock = clock.Add(10 * time.Second)
+		for i := 0; i < 20; i++ {
+			s.Record("Benign", false)
+		}
+		switch end {
+		case "done":
+			s.Done(false)
+		case "interrupted":
+			s.Done(true)
+		case "failed":
+			s.Failed()
+		}
+		clock = clock.Add(60 * time.Second)
+		snap := s.Snapshot()
+		if snap.Phase != end || snap.ElapsedSeconds != 10 || snap.RatePerSecond != 2 || snap.ETASeconds != 0 {
+			t.Errorf("%s, 60 s on: phase %q elapsed %v rate %v eta %v, want 10 s, 2/s, eta 0",
+				end, snap.Phase, snap.ElapsedSeconds, snap.RatePerSecond, snap.ETASeconds)
+		}
+	}
+}
+
 // TestCampaignStatusShardETA: a shard owns only its planned injections,
 // so the ETA counts down from shard_planned, not from N.
 func TestCampaignStatusShardETA(t *testing.T) {
