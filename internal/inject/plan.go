@@ -35,9 +35,6 @@ import (
 type PlannedCampaign struct {
 	// Key identifies the campaign in resume journals and shard merges.
 	Key resilience.Key
-	// Engine is the substrate the plan was prepared for (the fork engine
-	// carries a recorded golden run; rerun carries a plain one).
-	Engine Engine
 	// Plans are the N pre-sampled injections, in plan-index order.
 	Plans []Plan
 	// Budget is the per-injection retired-instruction hang budget.
@@ -228,7 +225,7 @@ func (c *Campaign) prepare(ctx context.Context, setPhase func(string), engineLab
 	if c.Obs != nil {
 		c.Obs.Status.Begin(c.App.Name, c.Mode.String(), c.N)
 	}
-	p := &PlannedCampaign{Key: c.journalKey(), Engine: c.Engine, start: time.Now()}
+	p := &PlannedCampaign{Key: c.journalKey(), start: time.Now()}
 
 	setPhase(PhaseCompile)
 	spCompile := c.Obs.StartSpan("compile", "app", c.App.Name)
