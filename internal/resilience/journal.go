@@ -52,7 +52,9 @@ func (k Key) String() string {
 
 // Record is one journaled injection: the campaign it belongs to, the plan
 // index, and everything aggregation needs to reconstruct the classified
-// result without re-executing it.
+// result without re-executing it. It is also the body of the campaign's
+// in-memory result (inject.Execution), so the journal line, a fabric
+// worker's shipment and the injection_executed event carry one value.
 type Record struct {
 	Key
 	// Writer identifies who produced the record — a shard identity like
@@ -61,12 +63,22 @@ type Record struct {
 	// use it to tell a legitimate resume (same writer, latest wins) from
 	// two shards claiming the same injection index (a collision that must
 	// be reported, see MergeFiles).
-	Writer     string `json:"writer,omitempty"`
-	Index      int    `json:"index"`
-	Class      string `json:"class"`
-	Signal     string `json:"signal,omitempty"`
-	DestLive   bool   `json:"dest_live,omitempty"`
-	RepairSafe bool   `json:"repair_safe,omitempty"`
+	Writer string `json:"writer,omitempty"`
+	Index  int    `json:"index"` // plan index in [0, N)
+	// Class names the Figure-4 outcome class, and Signal the first
+	// crash-causing signal ("" when none).
+	Class  string `json:"class"`
+	Signal string `json:"signal,omitempty"`
+	// DestLive says whether the fault's destination register was
+	// statically live at the injection site. RepairSafe says whether the
+	// site is certified repair-safe: corruption of its destination
+	// register cannot reach the app's acceptance check (always false
+	// when the app declares no acceptance globals).
+	DestLive   bool `json:"dest_live,omitempty"`
+	RepairSafe bool `json:"repair_safe,omitempty"`
+	// Latency is the injection-to-crash distance in dynamic instructions
+	// (valid when HasLatency); Retired counts the instructions the
+	// injected run retired.
 	Latency    uint64 `json:"latency,omitempty"`
 	HasLatency bool   `json:"has_latency,omitempty"`
 	Retired    uint64 `json:"retired,omitempty"`
